@@ -171,7 +171,7 @@ def test_trace_reuse_cold_vs_warm(benchmark, tmp_path, trace_store):
 
     rows = [
         row("cold (capture + replay)", cold_s, cold_stats, cold_pool),
-        row("warm (replay only)", warm_s, warm_stats, warm_pool,
+        row("memo-warm (report-memo hits)", warm_s, warm_stats, warm_pool,
             prev=cold_stats),
         row(f"warm, parallel ({_PARALLEL_WORKERS} workers)", par_s,
             par_stats, par_pool, prev=warm_stats),

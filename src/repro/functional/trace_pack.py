@@ -31,9 +31,15 @@ caches key on.
 :class:`PackedTrace` is the lazy reader: aggregate counters and column
 views are available without materializing a single event object, and
 :meth:`PackedTrace.events` rebuilds the plain event list on first use
-for consumers that genuinely need objects (``iter()``, golden checks).
-The timing engine's vectorized replay path
-(:mod:`repro.timing.replay_plan`) consumes either form.
+for consumers that genuinely need objects (``iter()``, golden checks,
+the reference replay).
+
+The timing engine's replay-plan compiler (:mod:`repro.timing
+.replay_plan`) reads columns only: a :class:`PackedTrace` hands over its
+own column views (no event object is ever built), and an object-form
+:class:`~repro.functional.trace.DynamicTrace` is first reduced by
+:func:`trace_columns` — the same column pass :func:`pack_trace` runs
+before it assembles the blob.
 """
 
 from __future__ import annotations
@@ -49,7 +55,8 @@ from ..isa.program import Program
 from .trace import (DynamicTrace, MemAccess, ScalarEvent, VectorEvent,
                     VsetvlEvent)
 
-__all__ = ["PACK_VERSION", "PackedTrace", "pack_trace", "unpack_trace"]
+__all__ = ["PACK_VERSION", "PackedTrace", "pack_trace", "trace_columns",
+           "unpack_trace"]
 
 #: Version of the column layout inside the blob (independent of the
 #: envelope's ``DISK_FORMAT_VERSION``, which gates the file as a whole).
@@ -62,9 +69,9 @@ MAGIC = b"RVT6"
 TAG_SCALAR, TAG_VSETVL, TAG_VECTOR, TAG_FALLBACK = 0, 1, 2, 3
 
 #: Fixed pattern vocabulary: index in this tuple is the on-disk code.
-_PATTERNS = (MemPattern.NONE, MemPattern.UNIT, MemPattern.STRIDED,
+PATTERNS = (MemPattern.NONE, MemPattern.UNIT, MemPattern.STRIDED,
              MemPattern.INDEXED, MemPattern.MASK)
-_PATTERN_CODE = {p: i for i, p in enumerate(_PATTERNS)}
+PATTERN_CODE = {p: i for i, p in enumerate(PATTERNS)}
 
 #: Column table: ``(name, dtype, count group, delta-coded)``.  The
 #: count group keys how many rows a column has — ``t``: one per event,
@@ -148,19 +155,43 @@ def _delta_decode(arr: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 # Packing
 # ----------------------------------------------------------------------
-def pack_trace(trace, program: Program) -> bytes:
-    """Flatten ``trace`` into a self-describing columnar blob.
+def trace_columns(trace, program: Program | None = None) -> tuple:
+    """Column pass: reduce an event stream to the v6 columns.
 
-    Every event that fits the column schema is encoded as array rows;
-    anything else (foreign event classes, out-of-range fields,
-    instructions absent from ``program``) is pickled whole into the
-    fallback map.  The result round-trips through
-    :func:`unpack_trace` to an event stream with identical contents.
+    Returns ``(columns, kinds, fallback, instructions)``: a
+    ``{name: ndarray}`` map over the :data:`_COLUMNS` schema (plain
+    values, not delta-coded), the scalar-kind vocabulary, the
+    ``{event index: event}`` map of events that do not fit a column
+    (tagged :data:`TAG_FALLBACK`), and the instruction table the
+    ``v_instr`` column indexes.  With a ``program`` the table is
+    ``program.instructions`` and an instruction outside it takes the
+    fallback path; without one the table is built from the trace in
+    first-appearance order.
     """
-    instr_index = {id(instr): i
-                   for i, instr in enumerate(program.instructions)}
-    cols: dict[str, list] = {name: [] for name, _, _, _ in _COLUMNS}
-    tags = cols["tags"]
+    if program is None:
+        table: list = []
+        instr_index: dict[int, int] = {}
+    else:
+        table = program.instructions
+        instr_index = {id(instr): i for i, instr in enumerate(table)}
+    tags: list[int] = []
+    s_kind: list[int] = []
+    s_addr: list[int] = []
+    s_nbytes: list[int] = []
+    w_vl: list[int] = []
+    w_sew: list[int] = []
+    w_lmul: list[int] = []
+    v_instr: list[int] = []
+    v_vl: list[int] = []
+    v_sew: list[int] = []
+    v_lmul: list[int] = []
+    v_slide: list[int] = []
+    v_flags: list[int] = []
+    m_base: list[int] = []
+    m_stride: list[int] = []
+    m_count: list[int] = []
+    m_ew: list[int] = []
+    m_pattern: list[int] = []
     kinds: list[str] = []
     kind_code: dict[str, int] = {}
     fallback: dict[int, object] = {}
@@ -180,19 +211,23 @@ def pack_trace(trace, program: Program) -> bytes:
                     if code > 0xFFFF:
                         raise ValueError("scalar kind vocabulary overflow")
                 tags.append(TAG_SCALAR)
-                cols["s_kind"].append(code)
-                cols["s_addr"].append(-1 if addr is None else addr)
-                cols["s_nbytes"].append(nbytes)
+                s_kind.append(code)
+                s_addr.append(-1 if addr is None else addr)
+                s_nbytes.append(nbytes)
                 continue
         elif cls is VsetvlEvent:
             if _i64(event.vl) and _u8(event.sew) and _u8(event.lmul):
                 tags.append(TAG_VSETVL)
-                cols["w_vl"].append(event.vl)
-                cols["w_sew"].append(event.sew)
-                cols["w_lmul"].append(event.lmul)
+                w_vl.append(event.vl)
+                w_sew.append(event.sew)
+                w_lmul.append(event.lmul)
                 continue
         elif cls is VectorEvent:
-            iidx = instr_index.get(id(event.instr))
+            instr = event.instr
+            iidx = instr_index.get(id(instr))
+            if iidx is None and program is None:
+                iidx = instr_index[id(instr)] = len(table)
+                table.append(instr)
             mem = event.mem
             flat = (iidx is not None and iidx <= 0x7FFFFFFF
                     and _i64(event.vl) and _u8(event.sew)
@@ -201,34 +236,56 @@ def pack_trace(trace, program: Program) -> bytes:
                 flat = (type(mem) is MemAccess and _i64(mem.base)
                         and _i64(mem.stride) and _i64(mem.count)
                         and _u8(mem.ew_bytes)
-                        and mem.pattern in _PATTERN_CODE)
+                        and mem.pattern in PATTERN_CODE)
             if flat:
                 tags.append(TAG_VECTOR)
-                cols["v_instr"].append(iidx)
-                cols["v_vl"].append(event.vl)
-                cols["v_sew"].append(event.sew)
-                cols["v_lmul"].append(event.lmul)
-                cols["v_slide"].append(event.slide_amount)
+                v_instr.append(iidx)
+                v_vl.append(event.vl)
+                v_sew.append(event.sew)
+                v_lmul.append(event.lmul)
+                v_slide.append(event.slide_amount)
                 if mem is None:
-                    cols["v_flags"].append(0)
-                    cols["m_base"].append(0)
-                    cols["m_stride"].append(0)
-                    cols["m_count"].append(0)
-                    cols["m_ew"].append(0)
-                    cols["m_pattern"].append(0)
+                    v_flags.append(0)
+                    m_base.append(0)
+                    m_stride.append(0)
+                    m_count.append(0)
+                    m_ew.append(0)
+                    m_pattern.append(0)
                 else:
-                    cols["v_flags"].append(1 | (2 if mem.is_store else 0))
-                    cols["m_base"].append(mem.base)
-                    cols["m_stride"].append(mem.stride)
-                    cols["m_count"].append(mem.count)
-                    cols["m_ew"].append(mem.ew_bytes)
-                    cols["m_pattern"].append(_PATTERN_CODE[mem.pattern])
+                    v_flags.append(1 | (2 if mem.is_store else 0))
+                    m_base.append(mem.base)
+                    m_stride.append(mem.stride)
+                    m_count.append(mem.count)
+                    m_ew.append(mem.ew_bytes)
+                    m_pattern.append(PATTERN_CODE[mem.pattern])
                 continue
         tags.append(TAG_FALLBACK)
         fallback[index] = event
 
+    values = {"tags": tags, "s_kind": s_kind, "s_addr": s_addr,
+              "s_nbytes": s_nbytes, "w_vl": w_vl, "w_sew": w_sew,
+              "w_lmul": w_lmul, "v_instr": v_instr, "v_vl": v_vl,
+              "v_sew": v_sew, "v_lmul": v_lmul, "v_slide": v_slide,
+              "v_flags": v_flags, "m_base": m_base, "m_stride": m_stride,
+              "m_count": m_count, "m_ew": m_ew, "m_pattern": m_pattern}
+    columns = {name: np.asarray(values[name], dtype=dtype)
+               for name, dtype, _, _ in _COLUMNS}
+    return columns, tuple(kinds), fallback, tuple(table)
+
+
+def pack_trace(trace, program: Program) -> bytes:
+    """Flatten ``trace`` into a self-describing columnar blob.
+
+    Every event that fits the column schema is encoded as array rows;
+    anything else (foreign event classes, out-of-range fields,
+    instructions absent from ``program``) is pickled whole into the
+    fallback map.  The result round-trips through
+    :func:`unpack_trace` to an event stream with identical contents.
+    """
+    cols, kinds, fallback, _ = trace_columns(trace, program)
+
     # -- assemble the blob --------------------------------------------
-    counts = {"t": len(tags), "s": len(cols["s_kind"]),
+    counts = {"t": len(cols["tags"]), "s": len(cols["s_kind"]),
               "w": len(cols["w_vl"]), "v": len(cols["v_instr"])}
     table, _ = _layout(counts)
     header = {
@@ -237,7 +294,7 @@ def pack_trace(trace, program: Program) -> bytes:
         "scalar_count": trace.scalar_count,
         "vector_count": trace.vector_count,
         "total_flops": trace.total_flops,
-        "kinds": tuple(kinds),
+        "kinds": kinds,
         "fallback": (pickle.dumps(fallback,
                                   protocol=pickle.HIGHEST_PROTOCOL)
                      if fallback else b""),
@@ -247,9 +304,9 @@ def pack_trace(trace, program: Program) -> bytes:
     parts = [MAGIC, struct.pack("<I", len(header_bytes)), header_bytes,
              b"\x00" * (region - len(MAGIC) - 4 - len(header_bytes))]
     cursor = 0
-    for name, dtype, _, delta in _COLUMNS:
-        dt, off, _ = table[name]
-        arr = np.asarray(cols[name], dtype=dt)
+    for name, _, _, delta in _COLUMNS:
+        _, off, _ = table[name]
+        arr = cols[name]
         if delta and len(arr) > 1:
             arr = _delta_encode(arr)
         if off > cursor:
@@ -358,6 +415,13 @@ class PackedTrace:
             events = self._events = _build_events(self)
         return events
 
+    def fallback_events(self) -> dict:
+        """The ``{event index: event}`` map of events that did not fit
+        a column, unpickled afresh on every call."""
+        if not self.fallback_bytes:
+            return {}
+        return pickle.loads(self.fallback_bytes)
+
     @property
     def nbytes(self) -> int:
         """Size of the packed blob in bytes."""
@@ -375,8 +439,7 @@ def _build_events(packed: PackedTrace) -> list:
     cols = packed.columns
     kinds = packed.kinds
     instructions = packed.program.instructions
-    fallback = (pickle.loads(packed.fallback_bytes)
-                if packed.fallback_bytes else {})
+    fallback = packed.fallback_events()
     tags = cols["tags"].tolist()
     s_kind = cols["s_kind"].tolist()
     s_addr = cols["s_addr"].tolist()
@@ -414,7 +477,7 @@ def _build_events(packed: PackedTrace) -> list:
             if flags & 1:
                 mem = MemAccess(base=m_base[vi], stride=m_stride[vi],
                                 count=m_count[vi], ew_bytes=m_ew[vi],
-                                pattern=_PATTERNS[m_pattern[vi]],
+                                pattern=PATTERNS[m_pattern[vi]],
                                 is_store=bool(flags & 2))
             append(VectorEvent(instructions[v_instr[vi]], v_vl[vi],
                                v_sew[vi], v_lmul[vi], mem, v_slide[vi]))

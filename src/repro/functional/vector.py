@@ -292,30 +292,33 @@ class VectorUnit:
         return _NO_EXTRA
 
     def _h_fp_cvt(self, p, vl, sew, lmul, mask_bits):
-        mnem = p.mnemonic
-        v = self.state.v
-        if mnem == "vfcvt_x_f_v":
-            vs2 = v.read_elems(p.vs2, vl, fp_dtype(sew), lmul, copy=False)
-            result = np.rint(vs2).astype(int_dtype(sew, signed=True))
-            v.write_elems(p.vd, result, lmul, mask_bits)
-        elif mnem == "vfcvt_rtz_x_f_v":
-            vs2 = v.read_elems(p.vs2, vl, fp_dtype(sew), lmul, copy=False)
-            result = np.trunc(vs2).astype(int_dtype(sew, signed=True))
-            v.write_elems(p.vd, result, lmul, mask_bits)
-        elif mnem == "vfcvt_f_x_v":
-            vs2 = v.read_elems(
-                p.vs2, vl, int_dtype(sew, signed=True), lmul, copy=False)
-            v.write_elems(p.vd, vs2.astype(fp_dtype(sew)), lmul, mask_bits)
-        elif mnem == "vfwcvt_f_f_v":
-            vs2 = v.read_elems(p.vs2, vl, fp_dtype(sew), lmul, copy=False)
-            v.write_elems(p.vd, vs2.astype(fp_dtype(2 * sew)), 2 * lmul,
-                          mask_bits)
-        elif mnem == "vfncvt_f_f_w":
-            vs2 = v.read_elems(
-                p.vs2, vl, fp_dtype(2 * sew), 2 * lmul, copy=False)
-            v.write_elems(p.vd, vs2.astype(fp_dtype(sew)), lmul, mask_bits)
-        else:  # pragma: no cover
-            raise ExecutionError(f"unhandled conversion {mnem}")
+        # Out-of-range conversions keep numpy's results (inf, the
+        # integer boundary values); only the RuntimeWarning is dropped.
+        with np.errstate(over="ignore", invalid="ignore"):
+            mnem = p.mnemonic
+            v = self.state.v
+            if mnem == "vfcvt_x_f_v":
+                vs2 = v.read_elems(p.vs2, vl, fp_dtype(sew), lmul, copy=False)
+                result = np.rint(vs2).astype(int_dtype(sew, signed=True))
+                v.write_elems(p.vd, result, lmul, mask_bits)
+            elif mnem == "vfcvt_rtz_x_f_v":
+                vs2 = v.read_elems(p.vs2, vl, fp_dtype(sew), lmul, copy=False)
+                result = np.trunc(vs2).astype(int_dtype(sew, signed=True))
+                v.write_elems(p.vd, result, lmul, mask_bits)
+            elif mnem == "vfcvt_f_x_v":
+                vs2 = v.read_elems(
+                    p.vs2, vl, int_dtype(sew, signed=True), lmul, copy=False)
+                v.write_elems(p.vd, vs2.astype(fp_dtype(sew)), lmul, mask_bits)
+            elif mnem == "vfwcvt_f_f_v":
+                vs2 = v.read_elems(p.vs2, vl, fp_dtype(sew), lmul, copy=False)
+                v.write_elems(p.vd, vs2.astype(fp_dtype(2 * sew)), 2 * lmul,
+                              mask_bits)
+            elif mnem == "vfncvt_f_f_w":
+                vs2 = v.read_elems(
+                    p.vs2, vl, fp_dtype(2 * sew), 2 * lmul, copy=False)
+                v.write_elems(p.vd, vs2.astype(fp_dtype(sew)), lmul, mask_bits)
+            else:  # pragma: no cover
+                raise ExecutionError(f"unhandled conversion {mnem}")
         return _NO_EXTRA
 
     # ------------------------------------------------------------------

@@ -34,6 +34,18 @@ def _sqrt(vs2: np.ndarray) -> np.ndarray:
         return np.sqrt(vs2)
 
 
+def _ieee(fn: Callable) -> Callable:
+    """``fn`` evaluated with IEEE-754 overflow and invalid results (inf,
+    NaN) taken silently, as the hardware produces them: the values are
+    numpy's, only the ``RuntimeWarning`` is dropped."""
+
+    def apply(*operands: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fn(*operands)
+
+    return apply
+
+
 def _sign_inject(mode: str) -> Callable:
     """Bit-exact sign injection (handles -0.0 and NaN payloads)."""
 
@@ -56,10 +68,10 @@ def _sign_inject(mode: str) -> Callable:
 
 
 BINOPS: dict[str, Callable] = {
-    "vfadd": np.add,
-    "vfsub": np.subtract,
-    "vfrsub": lambda vs2, op1: np.subtract(op1, vs2),
-    "vfmul": np.multiply,
+    "vfadd": _ieee(np.add),
+    "vfsub": _ieee(np.subtract),
+    "vfrsub": _ieee(lambda vs2, op1: np.subtract(op1, vs2)),
+    "vfmul": _ieee(np.multiply),
     "vfdiv": _div,
     "vfrdiv": _rdiv,
     "vfmin": np.fmin,
@@ -85,7 +97,7 @@ COMPARES: dict[str, Callable] = {
 }
 
 #: func(vd, op1, vs2) following the RVV accumulate definitions.
-FMA: dict[str, Callable] = {
+FMA: dict[str, Callable] = {name: _ieee(fn) for name, fn in {
     "vfmacc": lambda vd, a, b: a * b + vd,
     "vfnmacc": lambda vd, a, b: -(a * b) - vd,
     "vfmsac": lambda vd, a, b: a * b - vd,
@@ -95,10 +107,10 @@ FMA: dict[str, Callable] = {
     "vfnmadd": lambda vd, a, b: -(a * vd) - b,
     "vfnmsub": lambda vd, a, b: -(a * vd) + b,
     "vfwmacc": lambda vd, a, b: a * b + vd,  # operands pre-widened
-}
+}.items()}
 
 #: Widening FP binary ops (operands pre-widened to 2*SEW by the engine).
 WIDENING: dict[str, Callable] = {
-    "vfwadd": np.add,
-    "vfwmul": np.multiply,
+    "vfwadd": _ieee(np.add),
+    "vfwmul": _ieee(np.multiply),
 }

@@ -27,6 +27,9 @@ from repro.machine import get_machine
 from repro.sim import (CaptureTask, SimPool, TraceCache, run_pipeline,
                        trace_key)
 
+# A numeric RuntimeWarning leaking out of the interpreter fails the test.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 _SRC_DIR = str(Path(repro.__file__).resolve().parent.parent)
 
 

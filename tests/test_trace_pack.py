@@ -10,7 +10,11 @@ Two families of guarantees:
 * **Replay identity** — replaying the packed form of a real captured
   trace produces a byte-identical ``TimingReport`` to replaying the
   object form, on every machine in the registry, for both the
-  vectorized and the reference replay loops.
+  vectorized and the reference replay loops; the packed form replays
+  without materializing a single event object.
+* **Plan compilation** — both trace forms compile to field-identical
+  replay plans, and the fallback, foreign-event and missing-MemAccess
+  paths behave the same in either form.
 """
 
 from __future__ import annotations
@@ -24,12 +28,14 @@ from repro.functional.trace import (DynamicTrace, MemAccess, ScalarEvent,
                                     VectorEvent, VsetvlEvent)
 from repro.functional.trace_pack import (MAGIC, PackedTrace, pack_trace,
                                          unpack_trace)
+from repro.errors import TimingError
 from repro.isa.instructions import MemPattern
-from repro.kernels import build_fmatmul
+from repro.kernels import ZOO, build_fmatmul
 from repro.machine.registry import get_machine, list_machines
 from repro.params import Ara2Config
 from repro.sim.simulator import build_model
 from repro.timing.engine import TimingEngine
+from repro.timing.replay_plan import ReplayPlan
 
 _I64_MAX = (1 << 63) - 1
 
@@ -222,3 +228,112 @@ class TestReplayIdentity:
         fast_packed = TimingEngine(model).replay(packed)
         assert fast_obj == reference
         assert fast_packed == reference
+
+    @pytest.mark.parametrize("machine", sorted(list_machines()))
+    def test_packed_replay_builds_no_events(self, machine):
+        cfg = get_machine(machine)
+        run = build_fmatmul(cfg, 64, m=8, k=16)
+        captured = run.capture(cfg, verify=False)
+        packed = unpack_trace(
+            pack_trace(captured.trace, captured.program), captured.program)
+        TimingEngine(build_model(cfg)).replay(packed)
+        assert packed._plan is not None
+        assert packed._events is None
+
+
+# ----------------------------------------------------------------------
+# Plan compilation: both trace forms, fallback and error paths
+# ----------------------------------------------------------------------
+def _plan_fields(plan: ReplayPlan) -> dict:
+    """Every plan slot (arrays by dtype and contents) plus each row's
+    resolved memory and slide key."""
+    fields = {}
+    for slot in ReplayPlan.__slots__:
+        value = getattr(plan, slot)
+        if isinstance(value, np.ndarray):
+            value = (value.dtype.str, value.tolist())
+        fields[slot] = value
+    fields["row_mem_keys"] = [plan.mem_keys[i]
+                              for i in plan._mem_ix[plan._ix_mem]]
+    fields["row_slide_pairs"] = [plan.slide_pairs[i]
+                                 for i in plan._slide_ix[plan._ix_slide]]
+    return fields
+
+
+def _both_forms(trace, program):
+    packed = unpack_trace(pack_trace(trace, program), program)
+    return {"object": trace, "packed": packed}
+
+
+def _first_event(trace, predicate):
+    return next(e for e in trace.events if predicate(e))
+
+
+class TestPlanCompile:
+    @pytest.mark.parametrize("kernel", sorted(set(ZOO) - {"fuzz"}))
+    def test_trace_forms_compile_to_equal_plans(self, kernel):
+        cfg = Ara2Config(lanes=4)
+        captured = ZOO[kernel](cfg, 64).capture(cfg, verify=False)
+        forms = _both_forms(captured.trace, captured.program)
+        plans = {name: _plan_fields(ReplayPlan.from_trace(trace))
+                 for name, trace in forms.items()}
+        assert plans["object"] == plans["packed"]
+        assert plans["object"]["n_events"] == len(captured.trace)
+
+    def test_fallback_rows_replay_like_the_reference(self, capture):
+        base = capture.trace
+        load = _first_event(base, lambda e: isinstance(e, VectorEvent)
+                            and e.mem is not None
+                            and e.mem.pattern is MemPattern.UNIT
+                            and not e.mem.is_store)
+        foreign = pickle.loads(pickle.dumps(load.instr))  # not in program
+        odd_mem = MemAccess(base=(1 << 64) + 8, stride=load.mem.stride,
+                            count=load.mem.count,
+                            ew_bytes=load.mem.ew_bytes,
+                            pattern=MemPattern.UNIT, is_store=False)
+        extra = [VsetvlEvent(1 << 64, 8, 1), ScalarEvent("load", -4, 8),
+                 VectorEvent(foreign, load.vl, load.sew, load.lmul,
+                             load.mem, load.slide_amount),
+                 VectorEvent(load.instr, load.vl, load.sew, load.lmul,
+                             odd_mem, load.slide_amount)]
+        events = list(base.events)
+        for offset, event in enumerate(extra):
+            events.insert(len(events) // 3 + 7 * offset, event)
+        trace = DynamicTrace(events=events)
+        forms = _both_forms(trace, capture.program)
+        assert len(forms["packed"].fallback_events()) == len(extra)
+        model = build_model(Ara2Config(lanes=4))
+        reference = TimingEngine(model).replay_reference(trace)
+        for name, form in forms.items():
+            assert TimingEngine(model).replay(form) == reference, name
+        assert forms["packed"]._events is None
+
+    @pytest.mark.parametrize("form", ["object", "packed"])
+    def test_foreign_event_class_raises(self, capture, form):
+        events = list(capture.trace.events)
+        events.insert(5, OddballEvent("x"))
+        trace = _both_forms(DynamicTrace(events=events),
+                            capture.program)[form]
+        with pytest.raises(TimingError, match="unknown trace event"):
+            TimingEngine(build_model(Ara2Config(lanes=4))).replay(trace)
+
+    @pytest.mark.parametrize("form", ["object", "packed"])
+    def test_memory_op_without_mem_access_raises(self, capture, form):
+        # Relink onto a private copy of the program: the decode memo
+        # lives on the instruction, and the broken event must not seed
+        # it for the shared capture.
+        program = pickle.loads(pickle.dumps(capture.program))
+        relink = {id(old): new for old, new in
+                  zip(capture.program.instructions, program.instructions)}
+        events = [VectorEvent(relink[id(e.instr)],
+                              e.vl, e.sew, e.lmul, e.mem, e.slide_amount)
+                  if isinstance(e, VectorEvent) else e
+                  for e in capture.trace.events]
+        index, mem_op = next(
+            (i, e) for i, e in enumerate(events)
+            if isinstance(e, VectorEvent) and e.mem is not None)
+        events[index] = VectorEvent(mem_op.instr, mem_op.vl, mem_op.sew,
+                                    mem_op.lmul, None, mem_op.slide_amount)
+        trace = _both_forms(DynamicTrace(events=events), program)[form]
+        with pytest.raises(TimingError, match="lacks a MemAccess"):
+            TimingEngine(build_model(Ara2Config(lanes=4))).replay(trace)
