@@ -53,12 +53,6 @@ its wall-clock, aggregated per worker and per phase in
 tables can report capture/replay seconds per point — pipeline
 *efficiency*, not just cache hit counts.
 
-:class:`CapturePool` and :class:`ReplayPool` remain as thin batch-API
-facades over a private :class:`SimPool` (their historical constructors
-and ``capture_batch`` / ``replay_batch`` / ``stats`` surfaces are used
-throughout the test and benchmark suites); neither owns an executor of
-its own anymore.
-
 Worker-side details shared by both job kinds:
 
 * **One process-local cache per worker** — with a ``disk_dir`` it
@@ -110,8 +104,7 @@ from collections import OrderedDict, deque
 from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
                                 ProcessPoolExecutor, wait)
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..functional.executor import ExecResult
 from ..params import SystemConfig
@@ -123,9 +116,6 @@ from .trace_cache import (DEFAULT_CAPACITY, TraceCache, TraceKey,
 
 #: Executor rebuilds allowed before a sweep degrades to serial.
 DEFAULT_MAX_REBUILDS = 3
-
-#: A replay task: ``(config, captured)`` or ``(config, captured, key)``.
-ReplayTask = tuple
 
 #: A pipeline replay plan entry: ``(config, capture_index)``.
 PipelineReplay = tuple
@@ -216,16 +206,6 @@ class _Job:
     deadline: Optional[float] = None
 
 
-@dataclass
-class _Group:
-    """All tasks of one replay batch that share a captured trace."""
-
-    key: Optional[TraceKey]
-    captured: ExecResult
-    configs: list[SystemConfig] = field(default_factory=list)
-    indices: list[int] = field(default_factory=list)
-
-
 def _merge_snapshot(per_worker: dict[int, dict], pid: int,
                     stats: dict) -> None:
     """Keep the newest cumulative cache snapshot per worker pid.
@@ -259,6 +239,10 @@ _WORKER_FAULTS: Optional[FaultPlan] = None
 #: Sentinel result: the worker had no payload and could not rehydrate the
 #: key from its cache; the parent must resend with an explicit payload.
 _NEEDS_PAYLOAD = None
+
+#: Parent-side outcome of a pooled job that expired or raised (see
+#: :meth:`SimPool._outcome`); distinct from every worker result.
+_FAILED = object()
 
 
 def _init_worker(disk_dir: Optional[str], capacity: int,
@@ -335,59 +319,6 @@ def _run_job(tag: str, token: str, attempt: int, *args):
 
 
 # ----------------------------------------------------------------------
-# Batch planning helpers (replay-only batches).
-# ----------------------------------------------------------------------
-def _normalize_tasks(tasks: Sequence[ReplayTask]) -> list[tuple]:
-    """Coerce ``(config, captured[, key])`` task tuples to triples."""
-    norm = []
-    for task in tasks:
-        if len(task) == 2:
-            config, captured = task
-            key = None
-        else:
-            config, captured, key = task
-        norm.append((config, captured, key))
-    return norm
-
-
-def _group_tasks(norm: list[tuple]) -> "OrderedDict[int, _Group]":
-    """Group batch tasks by the captured trace they replay."""
-    groups: OrderedDict[int, _Group] = OrderedDict()
-    for idx, (config, captured, key) in enumerate(norm):
-        group = groups.get(id(captured))
-        if group is None:
-            group = groups[id(captured)] = _Group(key=key, captured=captured)
-        group.configs.append(config)
-        group.indices.append(idx)
-    return groups
-
-
-def _batch_jobs(groups: "OrderedDict[int, _Group]",
-                workers: int) -> list[_Group]:
-    """Split a batch's groups into jobs so every worker gets work.
-
-    One job per group is ideal when there are at least as many groups
-    as workers (the payload ships once per group).  Batches with few
-    groups but many configs — e.g. an ablation varying one timing knob
-    over a single kernel — would otherwise serialize inside one worker,
-    so each group is chunked into up to ``workers // len(groups)`` jobs;
-    re-shipping the pruned payload per chunk is cheap relative to the
-    replays it buys back.  (The *streaming* pipeline instead adapts its
-    chunking to live queue depth: :meth:`SimPool._adaptive_chunks`.)
-    """
-    per_group = max(1, workers // len(groups))
-    jobs: list[_Group] = []
-    for group in groups.values():
-        chunks = min(per_group, len(group.configs))
-        size = -(-len(group.configs) // chunks)  # ceil division
-        for start in range(0, len(group.configs), size):
-            jobs.append(_Group(key=group.key, captured=group.captured,
-                               configs=group.configs[start:start + size],
-                               indices=group.indices[start:start + size]))
-    return jobs
-
-
-# ----------------------------------------------------------------------
 # Capture task specs.
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -455,8 +386,8 @@ class SimPool:
       disk envelopes instead of pipe payloads.
 
     The pool is lazy: the executor spawns on first pooled submission
-    and is torn down at the end of each :func:`run_pipeline` /
-    batch call (or explicitly via :meth:`shutdown` / ``with pool:``).
+    and is torn down at the end of each :meth:`run` (or explicitly via
+    :meth:`shutdown` / ``with pool:``).
     """
 
     def __init__(self, workers: int | None = 1,
@@ -636,6 +567,26 @@ class SimPool:
             f"{job.tag} job exceeded job_timeout={self.job_timeout}s")
         self.fault_log.note_error(exc)
         return exc
+
+    def _outcome(self, fut, job: _Job, expired: set):
+        """One finished or expired future's result, or :data:`_FAILED`.
+
+        An expired job is abandoned (its worker may be hung — the
+        process is terminated at shutdown); a job that raised (a dead
+        worker, or a broken pool taking every sibling future with it)
+        is classified into the fault log.  Either way the caller
+        retries it once, then serves it in the parent.
+        """
+        if fut in expired:
+            self._abandon(fut, job)
+            return _FAILED
+        try:
+            return fut.result()
+        except (KeyboardInterrupt, SystemExit):
+            raise
+        except Exception as exc:
+            self._note_failure(exc)
+            return _FAILED
 
     def shutdown(self) -> None:
         """Tear down the live executor and any retired (zombie) ones.
@@ -937,29 +888,10 @@ class SimPool:
                 done, expired = self._wait_done(pending)
                 for fut in (done or expired):
                     job = pending.pop(fut)
-                    timed_out = fut in expired
-                    if timed_out:
-                        # Deadline exceeded: the worker may be hung —
-                        # abandon the future (terminated at shutdown)
-                        # and handle it like any other failure.
-                        self._abandon(fut, job)
+                    outcome = self._outcome(fut, job, expired)
                     if job.tag == "capture":
                         in_flight_captures -= 1
-                        failed = timed_out
-                        outcome = None
-                        if not timed_out:
-                            try:
-                                outcome = fut.result()
-                            except (KeyboardInterrupt, SystemExit):
-                                raise
-                            except Exception as exc:
-                                # Dead worker (or a broken pool taking
-                                # every sibling future with it):
-                                # classified below, retried once, then
-                                # captured locally.
-                                self._note_failure(exc)
-                                failed = True
-                        if failed:
+                        if outcome is _FAILED:
                             if capture_failure(job):
                                 in_flight_captures += 1  # retried
                         else:
@@ -980,20 +912,7 @@ class SimPool:
                             submit_point(job.indices, job.key, captured)
                     else:
                         pending_replays -= 1
-                        failed = timed_out
-                        outcome = None
-                        if not timed_out:
-                            try:
-                                outcome = fut.result()
-                            except (KeyboardInterrupt, SystemExit):
-                                raise
-                            except Exception as exc:
-                                # Dead worker/broken pool: classified
-                                # below, retried once, then finished in
-                                # the parent (which holds the capture).
-                                self._note_failure(exc)
-                                failed = True
-                        if failed:
+                        if outcome is _FAILED:
                             if replay_failure(job):
                                 pending_replays += 1  # retried
                         elif not self._finish_replay(pending, job,
@@ -1003,168 +922,6 @@ class SimPool:
         finally:
             self.shutdown()
         return results  # type: ignore[return-value]
-
-    # ------------------------------------------------------------------
-    # Replay-only batches.
-    # ------------------------------------------------------------------
-    def replay_batch(self, tasks: Sequence[ReplayTask]) -> list[TimingReport]:
-        """Replay every task; reports come back in task order."""
-        norm = _normalize_tasks(tasks)
-        if not norm:
-            return []
-        if self.workers == 1 or len(norm) == 1:
-            # In-process serial baseline (workers=1) — also the only
-            # sensible plan for a one-task batch.
-            t0 = time.perf_counter()
-            reports = [replay_trace(config, captured).timing
-                       for config, captured, _ in norm]
-            self.pipeline_stats.note("replay", PARENT_WORKER, len(norm),
-                                     time.perf_counter() - t0)
-            return reports
-        jobs = _batch_jobs(_group_tasks(norm), self.workers)
-        results: list[Optional[TimingReport]] = [None] * len(norm)
-        try:
-            pending: dict = {}
-            for group in jobs:
-                payload = None if self._on_disk(group.key) \
-                    else _disk_payload(group.captured)
-                job = _Job(tag="replay", key=group.key,
-                           captured=group.captured, configs=group.configs,
-                           indices=group.indices)
-                if not self._submit_job(pending, job,
-                                        (job.key, payload, job.configs)):
-                    self._replay_local(job, results)
-            while pending:
-                done, expired = self._wait_done(pending)
-                for fut in (done or expired):
-                    job = pending.pop(fut)
-                    if fut in expired:
-                        self._abandon(fut, job)
-                        if not (job.attempts < 1
-                                and self._resubmit_replay(pending, job)):
-                            self._replay_local(job, results)
-                        else:
-                            self.fault_log.retries += 1
-                        continue
-                    try:
-                        outcome = fut.result()
-                    except (KeyboardInterrupt, SystemExit):
-                        raise
-                    except Exception as exc:
-                        # Dead worker/broken pool: classify, retry once,
-                        # then finish in-process.
-                        self._note_failure(exc)
-                        if (job.attempts < 1
-                                and self._resubmit_replay(pending, job)):
-                            self.fault_log.retries += 1
-                        else:
-                            self._replay_local(job, results)
-                        continue
-                    self._finish_replay(pending, job, outcome, results)
-        finally:
-            self.shutdown()
-        return results  # type: ignore[return-value]
-
-    # ------------------------------------------------------------------
-    # Capture-only batches.
-    # ------------------------------------------------------------------
-    def capture_batch(self, tasks: Sequence[CaptureTask]) -> list[ExecResult]:
-        """Capture every task; results come back in task order."""
-        results: list[Optional[ExecResult]] = [None] * len(tasks)
-        for idx, _key, captured in self.capture_stream(tasks):
-            results[idx] = captured
-        return results  # type: ignore[return-value]
-
-    def capture_stream(self, tasks: Sequence[CaptureTask]
-                       ) -> Iterator[tuple[int, TraceKey, ExecResult]]:
-        """Yield ``(task_index, key, captured)`` as captures land.
-
-        ``workers=1`` yields in task order (plain serial sweep); pooled
-        captures yield in completion order.  Tasks sharing a trace key
-        execute exactly once.
-        """
-        tasks = list(tasks)
-        if self.workers == 1 or len(tasks) == 1:
-            for idx, task in enumerate(tasks):
-                captured = self._capture_local(task)
-                yield idx, task.build().trace_key(task.config), captured
-            return
-
-        groups: "OrderedDict[TraceKey, list[int]]" = OrderedDict()
-        for idx, task in enumerate(tasks):
-            groups.setdefault(task.key(), []).append(idx)
-        local: list[tuple[TraceKey, list[int]]] = []
-        remote: list[tuple[TraceKey, list[int]]] = []
-        for key, indices in groups.items():
-            (local if self.cache.probe(key) else remote).append(
-                (key, indices))
-        # Cold keys go to the workers *first*, so the serial warm-serve
-        # loop below overlaps with captures already in flight instead of
-        # keeping the pool idle for its duration.
-        pending: dict = {}
-        try:
-            for key, indices in remote:
-                job = _Job(tag="capture", key=key, indices=list(indices))
-                if not self._submit_job(pending, job,
-                                        (tasks[indices[0]],)):
-                    # Unusable pool: serve the point in the parent.
-                    captured = self._fallback(tasks[indices[0]])
-                    for idx in indices:
-                        yield idx, key, captured
-            for key, indices in local:
-                captured = self._capture_local(tasks[indices[0]])
-                for idx in indices:
-                    yield idx, key, captured
-            while pending:
-                done, expired = self._wait_done(pending)
-                for fut in (done or expired):
-                    job = pending.pop(fut)
-                    key, indices = job.key, job.indices
-                    task = tasks[indices[0]]
-                    failed = fut in expired
-                    if failed:
-                        self._abandon(fut, job)
-                    else:
-                        try:
-                            outcome = fut.result()
-                        except (KeyboardInterrupt, SystemExit):
-                            raise
-                        except Exception as exc:
-                            # Dead worker (or a broken pool taking every
-                            # sibling future with it): classify, retry
-                            # once, then capture in-process.
-                            self._note_failure(exc)
-                            failed = True
-                    if failed:
-                        strikes = self._strikes.get(key, 0) + 1
-                        self._strikes[key] = strikes
-                        if strikes < 2:
-                            job.attempts += 1
-                            if self._submit_job(pending, job, (task,)):
-                                self.fault_log.retries += 1
-                                continue
-                        else:
-                            self.fault_log.quarantined += 1
-                            self.fault_log.quarantined_keys.append(
-                                repr(key))
-                        captured = self._fallback(task)
-                    else:
-                        pid, _wkey, payload, stats, seconds = outcome
-                        self._merge_worker_stats(pid, stats)
-                        self.pipeline_stats.note("capture", pid, 1, seconds)
-                        captured = self.cache.ingest_remote(key, payload)
-                        if captured is None:
-                            # The store's GC evicted the entry between
-                            # the worker's put and our adoption; the
-                            # point is already counted, so the local
-                            # re-capture adds seconds, not points.
-                            captured = self._fallback(task, points=0)
-                    for idx in indices:
-                        yield idx, key, captured
-        finally:
-            # Also reached via GeneratorExit if the consumer abandons
-            # the stream: never leak the worker processes.
-            self.shutdown()
 
     # ------------------------------------------------------------------
     @property
@@ -1216,106 +973,3 @@ def run_pipeline(captures: Sequence[CaptureTask],
         expand.append(slot)
     reports = pool.run(captures, order)
     return [reports[i] for i in expand]
-
-
-# ----------------------------------------------------------------------
-# Historical facades.  Both wrap a private SimPool — neither owns an
-# executor of its own — and keep the batch APIs the tests and benchmark
-# suite use.
-# ----------------------------------------------------------------------
-class ReplayPool:
-    """Replay-only batch facade over a private :class:`SimPool`.
-
-    ``workers=None`` autodetects from the host CPU count; ``workers=1``
-    replays in-process with no executor, pickling, or subprocess spawn —
-    the results are byte-identical either way.  ``disk_dir`` (typically
-    the sweep cache's own ``disk_dir``) lets workers rehydrate captures
-    from the shared disk layer instead of receiving them over the pipe.
-    """
-
-    def __init__(self, workers: int | None = None,
-                 disk_dir: str | Path | None = None,
-                 capacity: int = DEFAULT_CAPACITY) -> None:
-        self._sim = SimPool(
-            workers=workers,
-            cache=TraceCache(capacity=capacity, disk_dir=disk_dir),
-            capacity=capacity)
-
-    @property
-    def workers(self) -> int:
-        return self._sim.workers
-
-    @property
-    def disk_dir(self) -> Optional[Path]:
-        return self._sim.cache.disk_dir
-
-    def replay_batch(self, tasks: Sequence[ReplayTask]) -> list[TimingReport]:
-        """Replay every task; reports come back in task order."""
-        return self._sim.replay_batch(tasks)
-
-    @property
-    def stats(self) -> dict:
-        """Cache counters aggregated over every worker this pool used."""
-        return self._sim.stats
-
-    @property
-    def pipeline_stats(self) -> PipelineStats:
-        return self._sim.pipeline_stats
-
-
-def replay_batch(tasks: Sequence[ReplayTask], workers: int | None = 1,
-                 disk_dir: str | Path | None = None) -> list[TimingReport]:
-    """One-shot convenience wrapper around :class:`ReplayPool`."""
-    return ReplayPool(workers=workers,
-                      disk_dir=disk_dir).replay_batch(tasks)
-
-
-class CapturePool:
-    """Capture-only batch facade over a private :class:`SimPool`.
-
-    One worker task per distinct trace key, ``workers=1`` capturing
-    in-process with no executor (byte-identical to the pooled path),
-    ``workers=None`` autodetecting the host CPUs.  Keys already present
-    in ``cache`` (memory or shared disk) are served in-process with the
-    same hit/verify accounting as a serial sweep; a worker that dies —
-    or a store whose GC evicts the fresh entry before the parent adopts
-    it — degrades to an in-process capture instead of failing the sweep
-    (counted in :attr:`fallbacks`).
-    """
-
-    def __init__(self, workers: int | None = 1,
-                 cache: TraceCache | None = None,
-                 capacity: int = DEFAULT_CAPACITY) -> None:
-        self._sim = SimPool(workers=workers, capture_workers=workers,
-                            cache=cache, capacity=capacity)
-
-    @property
-    def workers(self) -> int:
-        return self._sim.workers
-
-    @property
-    def cache(self) -> TraceCache:
-        return self._sim.cache
-
-    @property
-    def fallbacks(self) -> int:
-        """In-process captures forced by a worker death or a lost entry."""
-        return self._sim.fallbacks
-
-    def capture_batch(self, tasks: Sequence[CaptureTask]) -> list[ExecResult]:
-        """Capture every task; results come back in task order."""
-        return self._sim.capture_batch(tasks)
-
-    def capture_stream(self, tasks: Sequence[CaptureTask]
-                       ) -> Iterator[tuple[int, TraceKey, ExecResult]]:
-        """Yield ``(task_index, key, captured)`` as captures land."""
-        return self._sim.capture_stream(tasks)
-
-    @property
-    def stats(self) -> dict:
-        """Cache counters aggregated over every worker this pool used."""
-        return self._sim.stats
-
-    @property
-    def pipeline_stats(self) -> PipelineStats:
-        return self._sim.pipeline_stats

@@ -20,7 +20,7 @@ replay against any machine model yields a bit-identical
 
 The cache is an in-memory LRU with an optional on-disk pickle layer for
 cross-process reuse (e.g. ``benchmarks/out/trace_cache``, or the worker
-caches of :class:`~repro.sim.parallel.ReplayPool`).
+caches of :class:`~repro.sim.parallel.SimPool`).
 
 Disk format
 -----------
@@ -96,7 +96,7 @@ only, ``disk_hits`` counts rehydrations from disk, and ``hit_rate`` is
 the true in-memory rate ``hits / (hits + disk_hits + misses)``.
 ``remote_puts`` counts entries adopted via :meth:`TraceCache
 .ingest_remote` — captures paid by a worker process of a
-:class:`~repro.sim.parallel.CapturePool` rather than by this process —
+:class:`~repro.sim.parallel.SimPool` rather than by this process —
 so warm disk hits served by an *earlier* run stay distinguishable from
 captures this very sweep fanned out.
 
@@ -502,7 +502,7 @@ class TraceCache:
                       ) -> Optional[ExecResult]:
         """Adopt an entry a capture worker produced for this cache.
 
-        A :class:`~repro.sim.parallel.CapturePool` worker either wrote
+        A :class:`~repro.sim.parallel.SimPool` capture worker either wrote
         the entry to the shared disk directory (``payload=None`` — it is
         rehydrated here) or shipped the pruned payload back over the
         pipe.  Either way the capture was *paid elsewhere*: the adoption
@@ -564,7 +564,7 @@ class TraceCache:
         format/schema tags and payload CRC without decompressing or
         unpickling the trace itself, so callers that will immediately
         :meth:`get` on a positive answer (e.g. :class:`~repro.sim
-        .parallel.CapturePool` classifying warm keys) don't deserialize
+        .parallel.SimPool` classifying warm keys) don't deserialize
         every entry twice.  The CRC check means byte-level corruption
         probes False (and the pipeline recaptures cold); the residual
         price is that an entry whose checksummed bytes decode to a

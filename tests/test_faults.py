@@ -20,8 +20,8 @@ import warnings
 import pytest
 
 from repro.params import Ara2Config, AraXLConfig
-from repro.sim import (CapturePool, CaptureTask, SimPool, TraceCache,
-                       TraceStore, run_pipeline)
+from repro.sim import (CaptureTask, SimPool, TraceCache, TraceStore,
+                       run_pipeline)
 from repro.sim.faults import (ENV_FAULT_PLAN, FaultLog, FaultPlan,
                               JobTimeout)
 from repro.sim.trace_cache import disk_path
@@ -173,7 +173,7 @@ def _capture_one(store, k=16):
     """Capture one fmatmul trace into ``store``; returns its key."""
     cfg = Ara2Config(lanes=4)
     task = CaptureTask.for_kernel("fmatmul", cfg, 64, {"m": 8, "k": k})
-    CapturePool(workers=1, cache=store).capture_batch([task])
+    SimPool(workers=1, cache=store).run([task], [])
     return task.key()
 
 

@@ -46,8 +46,8 @@ class TestPlanningIsGoldenFree:
         assert common.golden_builds() == before
 
     def test_capture_task_specs_and_keys_stay_golden_free(self):
-        """CapturePool planning (CaptureTask.build / .key) is program-
-        only too — workers, not the parent, pay for arrays."""
+        """SimPool planning (CaptureTask.build / .key) is program-only
+        too — workers, not the parent, pay for arrays."""
         before = common.golden_builds()
         cfg = AraXLConfig(lanes=8)
         keys = set()

@@ -32,7 +32,7 @@ from tools.lint.checkers.boundary import (  # noqa: E402
     SubmitPicklableChecker, TaskFieldChecker)
 from tools.lint.checkers.determinism import DeterminismChecker  # noqa: E402
 from tools.lint.checkers.docs import (  # noqa: E402
-    DocLinkChecker, DocstringChecker)
+    CrossRefChecker, DocLinkChecker, DocstringChecker)
 from tools.lint.checkers.envreg import EnvRegistryChecker  # noqa: E402
 from tools.lint.checkers.exceptions import (  # noqa: E402
     ExceptionHygieneChecker)
@@ -368,7 +368,7 @@ def test_read_env_call_allowed(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Docs rules (RL601/RL603) on fabricated checkouts
+# Docs rules (RL601/RL603/RL604) on fabricated checkouts
 # ----------------------------------------------------------------------
 def test_broken_doc_link_flagged(tmp_path, monkeypatch):
     """A relative link to a missing file is RL601."""
@@ -412,6 +412,41 @@ def test_documented_module_allowed(tmp_path):
         'def shiny():\n    """Docstring."""\n    return 1\n'
         'def _hidden():\n    return 2\n')
     assert list(DocstringChecker().check_repo(tmp_path)) == []
+
+
+def _xref_tree(tmp_path, doc):
+    """A fabricated ``repro`` package whose ``api`` module says ``doc``."""
+    pkg = tmp_path / "src" / "repro" / "sim"
+    pkg.mkdir(parents=True)
+    (pkg.parent / "__init__.py").write_text('"""Root."""\n')
+    (pkg / "__init__.py").write_text(
+        '"""Sim."""\nfrom .pool import Pool\n')
+    (pkg / "pool.py").write_text(
+        '"""Pool."""\nLIMIT = 3\n'
+        'class Pool:\n    """A pool."""\n    size: int = 1\n'
+        '    def run(self):\n        """Run."""\n')
+    (pkg / "api.py").write_text(f'"""{doc}"""\n')
+    return list(CrossRefChecker().check_repo(tmp_path))
+
+
+def test_dangling_cross_reference_flagged(tmp_path):
+    """A target naming a deleted class is RL604, even wrapped."""
+    findings = _xref_tree(tmp_path, "See :class:`~repro.sim.pool\n"
+                                    "    .OldPool` and :mod:`repro.gone`.")
+    assert codes_of(findings) == ["RL604"]
+    assert sorted(f.message for f in findings) == [
+        "unresolved cross-reference `repro.gone`",
+        "unresolved cross-reference `repro.sim.pool.OldPool`"]
+    assert sorted(f.line for f in findings) == [1, 2]
+
+
+def test_resolving_cross_references_allowed(tmp_path):
+    """Modules, re-exports, top-level and class-level names resolve."""
+    assert _xref_tree(tmp_path, (
+        ":mod:`repro.sim` :class:`~repro.sim.Pool` "
+        ":meth:`~repro.sim.pool.Pool\n    .run` "
+        ":attr:`~repro.sim.pool.Pool.size` "
+        ":data:`~repro.sim.pool.LIMIT`")) == []
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""ReplayPool fan-out and TraceCache concurrency hardening."""
+"""Pipeline replay fan-out and TraceCache concurrency hardening."""
 
 from __future__ import annotations
 
@@ -12,9 +12,10 @@ from repro.eval.fig7_latency import render_fig7, run_fig7
 from repro.eval.table3_ppa import render_table3, run_table3
 from repro.kernels import build_fmatmul
 from repro.params import Ara2Config, AraXLConfig
-from repro.sim import ReplayPool, TraceCache, replay_trace
+from repro.sim import (CaptureTask, SimPool, TraceCache, TraceStore,
+                       replay_trace, run_pipeline)
+from repro.sim.faults import FaultPlan
 from repro.sim.trace_cache import DISK_FORMAT_VERSION, disk_path
-import repro.sim.parallel as parallel_mod
 
 
 def _fmatmul_capture(config, cache=None, **kw):
@@ -25,109 +26,56 @@ def _fmatmul_capture(config, cache=None, **kw):
     return run, captured
 
 
-class TestReplayPool:
-    def test_results_in_task_order_across_workers(self):
-        """Interleaved tasks over two VLEN groups come back in task order."""
+def _fmatmul_task(config):
+    return CaptureTask.for_kernel("fmatmul", config, 64, {"m": 8, "k": 16})
+
+
+class TestPipelineReplays:
+    def test_results_in_replay_order_across_workers(self):
+        """Replays interleaved over two captures (two VLEN groups) come
+        back in replay order, equal to serial ``replay_trace``."""
         small, big = Ara2Config(lanes=4), Ara2Config(lanes=8)
+        small_xl, big_xl = AraXLConfig(lanes=4), AraXLConfig(lanes=8)
+        captures = [_fmatmul_task(small), _fmatmul_task(big)]
+        replays = [(big, 1), (small, 0), (big_xl, 1), (small_xl, 0)]
         _, cap_small = _fmatmul_capture(small)
         _, cap_big = _fmatmul_capture(big)
-        tasks = [(big, cap_big), (small, cap_small),
-                 (big, cap_big), (small, cap_small)]
-        serial = [replay_trace(cfg, cap).timing for cfg, cap in tasks]
-        pooled = ReplayPool(workers=2).replay_batch(tasks)
-        assert pooled == serial
-
-    def test_workers_one_never_spawns_processes(self, monkeypatch):
-        def boom(*args, **kwargs):  # pragma: no cover - defensive
-            raise AssertionError("workers=1 must not build a process pool")
-
-        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", boom)
-        cfg = Ara2Config(lanes=4)
-        _, captured = _fmatmul_capture(cfg)
-        reports = ReplayPool(workers=1).replay_batch([(cfg, captured)] * 3)
-        assert len(reports) == 3 and len(set(map(id, reports))) == 3
-        assert reports[0] == replay_trace(cfg, captured).timing
-
-    def test_single_task_stays_in_process(self, monkeypatch):
-        monkeypatch.setattr(
-            parallel_mod, "ProcessPoolExecutor",
-            lambda *a, **k: pytest.fail("one task must replay in-process"))
-        cfg = Ara2Config(lanes=4)
-        _, captured = _fmatmul_capture(cfg)
-        reports = ReplayPool(workers=8).replay_batch([(cfg, captured)])
-        assert reports == [replay_trace(cfg, captured).timing]
-
-    def test_single_group_chunks_across_workers(self):
-        """A one-kernel many-config batch still fans out (and stays
-        ordered): the lone trace group is split into per-worker chunks."""
-        cfg = Ara2Config(lanes=4)
-        other = AraXLConfig(lanes=4)  # same VLEN, different interconnect
-        _, captured = _fmatmul_capture(cfg)
-        tasks = [(cfg, captured), (other, captured)] * 2
-        pool = ReplayPool(workers=2)
-        jobs = parallel_mod._batch_jobs(
-            parallel_mod._group_tasks(parallel_mod._normalize_tasks(tasks)),
-            workers=2)
-        assert len(jobs) == 2  # one group chunked into two jobs
-        assert [i for job in jobs for i in job.indices] == [0, 1, 2, 3]
-        reports = pool.replay_batch(tasks)
-        assert reports == [replay_trace(c, captured).timing
-                           for c, _ in tasks]
-        assert reports[0] != reports[1]
-
-    def test_autodetect_and_validation(self):
-        assert ReplayPool().workers >= 1
-        assert parallel_mod.autodetect_workers() >= 1
-        with pytest.raises(ValueError):
-            ReplayPool(workers=0)
-
-    def test_empty_batch(self):
-        assert ReplayPool(workers=2).replay_batch([]) == []
+        traces = [cap_small, cap_big]
+        serial = [replay_trace(cfg, traces[cidx]).timing
+                  for cfg, cidx in replays]
+        pool = SimPool(workers=2, capture_workers=2, cache=TraceCache())
+        assert run_pipeline(captures, replays, pool) == serial
 
     def test_disk_backed_workers_rehydrate_and_report_stats(self, tmp_path):
         """Keys on disk ship no payload; worker stats aggregate per pid."""
-        cache = TraceCache(disk_dir=tmp_path)
         small, big = Ara2Config(lanes=4), Ara2Config(lanes=8)
-        _, cap_small = _fmatmul_capture(small, cache=cache)
-        run_big, cap_big = _fmatmul_capture(big, cache=cache)
-        tasks = [(small, cap_small, build_fmatmul(small, 64, m=8, k=16)
-                  .trace_key(small)),
-                 (big, cap_big, run_big.trace_key(big))]
-        pool = ReplayPool(workers=2, disk_dir=tmp_path)
-        reports = pool.replay_batch(tasks)
-        assert reports == [replay_trace(cfg, cap).timing
-                           for cfg, cap, _ in tasks]
+        captures = [_fmatmul_task(small), _fmatmul_task(big)]
+        replays = [(small, 0), (big, 1)]
+        serial = run_pipeline(captures, replays, SimPool(
+            workers=1, cache=TraceStore(disk_dir=tmp_path)))
+        pool = SimPool(workers=2, capture_workers=1,
+                       cache=TraceStore(disk_dir=tmp_path))
+        assert run_pipeline(captures, replays, pool) == serial
         stats = pool.stats
         assert stats["workers"] >= 1
-        assert stats["disk_hits"] == 2  # both groups rehydrated from disk
+        assert stats["disk_hits"] == 2  # one rehydration per key
         assert sum(s["disk_hits"] for s in stats["per_worker"].values()) == 2
 
-    def test_missing_disk_entry_falls_back_to_payload(self, tmp_path):
-        """A key absent from disk_dir still replays (payload resend)."""
-        small, big = Ara2Config(lanes=4), Ara2Config(lanes=8)
-        run_s, cap_small = _fmatmul_capture(small)
-        run_b, cap_big = _fmatmul_capture(big)
-        # disk_dir is empty: the parent sends payloads directly.
-        tasks = [(small, cap_small, run_s.trace_key(small)),
-                 (big, cap_big, run_b.trace_key(big))]
-        pool = ReplayPool(workers=2, disk_dir=tmp_path / "empty")
-        assert pool.replay_batch(tasks) == \
-            [replay_trace(cfg, cap).timing for cfg, cap, _ in tasks]
-
     def test_stale_disk_entry_triggers_payload_resend(self, tmp_path):
-        """A file that exists but fails to load hits the retry path."""
-        small, big = Ara2Config(lanes=4), Ara2Config(lanes=8)
-        run_s, cap_small = _fmatmul_capture(small)
-        run_b, cap_big = _fmatmul_capture(big)
-        key_s, key_b = run_s.trace_key(small), run_b.trace_key(big)
-        for key in (key_s, key_b):
-            path = disk_path(tmp_path, key)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_bytes(b"not a pickle")
-        tasks = [(small, cap_small, key_s), (big, cap_big, key_b)]
-        pool = ReplayPool(workers=2, disk_dir=tmp_path)
-        assert pool.replay_batch(tasks) == \
-            [replay_trace(cfg, cap).timing for cfg, cap, _ in tasks]
+        """Every disk write lands with a bad CRC: workers reject the
+        entries and the parent resends each replay with its payload —
+        back to the pool, not finished in-process."""
+        small, small_xl = Ara2Config(lanes=8), AraXLConfig(lanes=8)
+        captures = [_fmatmul_task(small),
+                    CaptureTask.for_kernel("fdotproduct", small, 64, {})]
+        replays = [(small, 0), (small_xl, 0), (small, 1), (small_xl, 1)]
+        serial = run_pipeline(captures, replays,
+                              SimPool(workers=1, cache=TraceCache()))
+        store = TraceStore(disk_dir=tmp_path,
+                           fault_plan=FaultPlan.from_spec("seed=1,corrupt=1.0"))
+        pool = SimPool(workers=2, capture_workers=1, cache=store)
+        assert run_pipeline(captures, replays, pool) == serial
+        assert pool.fault_log.fallbacks == 0
 
 
 class TestParallelSweepsByteIdentical:

@@ -218,20 +218,6 @@ class TestPipelineStats:
         assert stats.seconds_per_point("replay") == pytest.approx(0.5)
         assert stats.per_worker[7]["replay_points"] == 4
 
-    def test_batch_facades_time_their_phase(self, tmp_path):
-        from repro.sim import CapturePool, CaptureTask, ReplayPool
-
-        cfg = Ara2Config(lanes=4)
-        task = CaptureTask.for_kernel("fmatmul", cfg, 64,
-                                      {"m": 8, "k": 16})
-        cap = CapturePool(workers=1, cache=TraceCache())
-        [captured] = cap.capture_batch([task])
-        assert cap.pipeline_stats.capture_points == 1
-        rep = ReplayPool(workers=1)
-        rep.replay_batch([(cfg, captured)] * 3)
-        assert rep.pipeline_stats.replay_points == 3
-        assert rep.pipeline_stats.replay_seconds > 0.0
-
 
 # ----------------------------------------------------------------------
 # Degradation: the shared pool must finish the sweep, never fail it

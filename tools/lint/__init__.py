@@ -16,9 +16,10 @@ invariants the test suite cannot exhaustively pin:
   the replay hot path declare ``__slots__``.
 * **Env-var registry** (RL501): every environment read goes through
   :mod:`repro.env`, the registry the docs knob table is generated from.
-* **Docs** (RL601–RL603): markdown links resolve, documented CLI lines
-  parse with the real parser, docstrings exist.  ``--select RL6`` runs
-  just these.
+* **Docs** (RL601–RL604): markdown links resolve, documented CLI lines
+  parse with the real parser, docstrings exist, docstring
+  cross-references into ``repro`` resolve.  ``--select RL6`` runs just
+  these.
 
 Findings carry ``file:line``, a stable rule code, severity, and a
 message; inline pragmas (``# repro-lint: disable=RL201  reason``) and a

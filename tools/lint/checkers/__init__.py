@@ -10,7 +10,8 @@ module here, give it a stable unused ``RL`` code, append an instance to
 
 from .boundary import SubmitPicklableChecker, TaskFieldChecker
 from .determinism import DeterminismChecker
-from .docs import CliExampleChecker, DocLinkChecker, DocstringChecker
+from .docs import (CliExampleChecker, CrossRefChecker, DocLinkChecker,
+                   DocstringChecker)
 from .envreg import EnvRegistryChecker
 from .exceptions import ExceptionHygieneChecker
 from .slots import SlotsChecker
@@ -26,6 +27,7 @@ ALL_CHECKERS = (
     DocLinkChecker(),
     CliExampleChecker(),
     DocstringChecker(),
+    CrossRefChecker(),
 )
 
 __all__ = ["ALL_CHECKERS"]

@@ -1,12 +1,14 @@
-"""Docs rules (RL601–RL603): links, CLI examples and docstrings.
+"""Docs rules (RL601–RL604): links, CLI examples and docstrings.
 
 Repo-level: RL601 verifies every relative
 markdown link in the documented pages resolves inside the checkout,
 RL602 parses every documented ``python -m repro.eval`` line with the
 *real* argument parser (a renamed flag breaks the lint, not the
-reader), and RL603 requires docstrings on every ``src/repro`` module
-and public top-level def.  ``python -m tools.lint --select RL6`` runs
-only these rules.
+reader), RL603 requires docstrings on every ``src/repro`` module
+and public top-level def, and RL604 resolves every ``repro.…``
+cross-reference role in ``src/repro`` against the source tree (a
+deleted class breaks the lint, not the reader).  ``python -m tools.lint
+--select RL6`` runs only these rules.
 """
 
 from __future__ import annotations
@@ -146,3 +148,87 @@ class DocstringChecker(RepoChecker):
                     yield self.finding_at(
                         rel, node.lineno,
                         f"public `{node.name}` missing docstring")
+
+
+#: A Sphinx cross-reference into the package; the target may wrap
+#: across a docstring line (``~repro.eval.runner`` / ``.run_experiment``).
+_XREF_RE = re.compile(
+    r":(?:class|func|meth|mod|attr|data):`~?(repro\b[^`]*)`")
+
+
+def _module_file(src: Path, dotted: list[str]) -> Path | None:
+    """The source file of module ``dotted`` under ``src``, if any."""
+    base = src.joinpath(*dotted)
+    for path in (base.with_suffix(".py"), base / "__init__.py"):
+        if path.is_file():
+            return path
+    return None
+
+
+def _bindings(body: list) -> dict:
+    """Names a module or class body binds: name -> class node or None."""
+    names: dict = {}
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            names[node.name] = node
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names[node.name] = None
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        names[name.id] = None
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                names[bound] = None
+    return names
+
+
+class CrossRefChecker(RepoChecker):
+    """Docstring cross-references into ``repro`` must resolve."""
+
+    code = "RL604"
+    codes = ("RL604",)
+    name = "doc-xrefs"
+    description = ("every :class:/:func:/:meth:/:mod:/:attr:/:data: "
+                   "target `repro.…` in src/repro must name an existing "
+                   "module and definition")
+
+    def check_repo(self, root: Path):
+        src = root / "src"
+        trees: dict[Path, ast.Module] = {}
+        for path in sorted((src / "repro").rglob("*.py")):
+            rel = path.relative_to(root).as_posix()
+            text = path.read_text()
+            for match in _XREF_RE.finditer(text):
+                target = re.sub(r"\s+", "", match.group(1))
+                if not self._resolves(src, target.split("."), trees):
+                    line = text.count("\n", 0, match.start()) + 1
+                    yield self.finding_at(
+                        rel, line, f"unresolved cross-reference `{target}`")
+
+    @staticmethod
+    def _resolves(src: Path, parts: list[str], trees: dict) -> bool:
+        """Longest module prefix, then top-level/class-level names."""
+        for split in range(len(parts), 0, -1):
+            path = _module_file(src, parts[:split])
+            if path is not None:
+                break
+        else:
+            return False
+        if path not in trees:
+            try:
+                trees[path] = ast.parse(path.read_text())
+            except SyntaxError:
+                return True  # RL000 reports unparseable files
+        body = trees[path].body
+        for name in parts[split:]:
+            names = _bindings(body)
+            if name not in names:
+                return False
+            node = names[name]
+            body = node.body if node is not None else []
+        return True
