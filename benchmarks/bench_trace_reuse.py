@@ -25,7 +25,9 @@ pipeline efficiency, not just hit counts:
   earlier sweeps;
 * **disk cold / disk warm** — a disk-backed cache written by one run and
   rehydrated by a fresh cache instance, recording the disk layer's
-  write-through cost and its ``disk_hits`` accounting;
+  write-through cost and its ``disk_hits`` accounting.  The warm row
+  pays the same per-hit ``hits_served`` sidecar bump as every
+  directory-backed cache (a few counter bytes per disk hit);
 * **shared store** — the suite-wide store every other benchmark attaches
   to: operating points another bench (or a previous suite run) already
   captured are served from disk, and this sweep's captures warm the
@@ -57,7 +59,7 @@ from repro.eval.ablations import run_knob_sweep
 from repro.eval.fig7_latency import run_fig7
 from repro.machine import from_spec, get_machine, machine_fingerprint
 from repro.report import render_table
-from repro.sim import SimPool, TraceCache, TraceStore, autodetect_workers
+from repro.sim import SimPool, TraceCache, autodetect_workers
 
 from conftest import save_output
 
@@ -107,7 +109,7 @@ def test_trace_reuse_cold_vs_warm(benchmark, tmp_path, trace_store):
     # Cold again, but with the capture phase allowed to fill the shared
     # pool: a fresh store directory so every point is a genuine (worker)
     # capture.
-    cap_store = TraceStore(disk_dir=tmp_path / "capture_store")
+    cap_store = TraceCache(disk_dir=tmp_path / "capture_store")
     t0 = time.perf_counter()
     cap_points, cap_pool = sweep(trace_cache=cap_store,
                                  workers=_PARALLEL_WORKERS,

@@ -29,7 +29,7 @@ import pathlib
 
 import pytest
 
-from repro.sim.trace_store import TraceStore, resolve_store_dir
+from repro.sim.trace_cache import TraceCache, resolve_store_dir
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"
 
@@ -67,12 +67,12 @@ def capture_workers(request) -> int:
 
 
 @pytest.fixture(scope="session")
-def trace_store(request) -> TraceStore:
+def trace_store(request) -> TraceCache:
     """The suite-wide shared disk trace store, GC'd once per session."""
     explicit = request.config.getoption("--trace-store")
     # resolve_store_dir's default is the checkout-anchored
     # benchmarks/out/trace_cache — exactly this suite's out/ dir.
-    store = TraceStore(disk_dir=resolve_store_dir(explicit))
+    store = TraceCache(disk_dir=resolve_store_dir(explicit))
     store.gc()  # reap crashed-writer orphans, purge stale, enforce budget
     return store
 

@@ -19,8 +19,7 @@ from ..env import ENV_FUZZ_SEEDS, ENV_STORE_DIR, read_env
 from ..errors import ConfigError
 from ..machine import get_machine, list_machines
 from ..sim.parallel import SimPool
-from ..sim.trace_cache import TraceCache
-from ..sim.trace_store import TraceStore
+from ..sim.trace_cache import TraceCache, resolve_store_dir
 from .runner import EXPERIMENTS, SIMULATION_EXPERIMENTS, run_experiment
 
 
@@ -148,7 +147,7 @@ def main(argv: list[str] | None = None) -> int:
 
     store = None
     if args.trace_store is not None or read_env(ENV_STORE_DIR):
-        store = TraceStore(disk_dir=args.trace_store,
+        store = TraceCache(disk_dir=resolve_store_dir(args.trace_store),
                            max_bytes=args.store_bytes)
     elif args.gc or args.store_stats or args.store_bytes is not None:
         # No store is configured and the documented default is "no disk

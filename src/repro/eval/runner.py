@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 from typing import Callable
 
-from ..sim.trace_store import attach_store
+from ..sim.trace_cache import attach_store
 from .fig6_scaling import render_fig6, run_fig6
 from .fig7_latency import render_fig7, run_fig7
 from .fig8_floorplan import render_fig8, run_fig8
@@ -153,15 +153,14 @@ def run_experiment(name: str, scale: str = "paper",
     replays are pending (``1``, the default, captures in-process; the
     value is clamped to the budget).
     ``trace_store`` attaches the run to a shared disk trace store: a
-    :class:`~repro.sim.TraceCache`/:class:`~repro.sim.TraceStore`
-    instance or a directory path; when omitted, ``$REPRO_TRACE_STORE``
-    names the store, and with neither the run keeps a private in-memory
-    cache.  ``job_timeout`` arms the pool's per-job deadline (seconds;
-    hung workers are cancelled and their jobs reassigned) and
-    ``sim_pool`` substitutes an already-built shared pool, in which
-    case the other pool knobs are ignored.  Rendered output is
-    byte-identical for any ``workers`` value, any store state (cold,
-    warm, or GC'd mid-run), and any recovered fault.
+    :class:`~repro.sim.TraceCache` instance or a directory path; when
+    omitted, ``$REPRO_TRACE_STORE`` names the store, and with neither
+    the run keeps a private in-memory cache.  ``job_timeout`` arms the
+    pool's per-job deadline (seconds; hung workers are cancelled and
+    their jobs reassigned) and ``sim_pool`` substitutes an already-built
+    shared pool, in which case the other pool knobs are ignored.
+    Rendered output is byte-identical for any ``workers`` value, any
+    store state (cold, warm, or GC'd mid-run), and any recovered fault.
 
     ``machines`` substitutes the machine selection of the simulation
     sweeps: a sequence of :class:`~repro.params.SystemConfig` objects,

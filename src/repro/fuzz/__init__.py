@@ -12,7 +12,7 @@ functional ISA instead of only the curated kernels:
 * :mod:`repro.fuzz.kernel` — :func:`build_fuzz`, which wraps a generated
   case as a :class:`~repro.kernels.common.KernelRun` so it enters the
   capture pipeline through the same skeleton/lazy-golden memo path as
-  Table I kernels (``CaptureTask``/``SimPool``/``TraceStore`` handle it
+  Table I kernels (``CaptureTask``/``SimPool``/``TraceCache`` handle it
   unchanged via the ``"fuzz"`` zoo entry);
 * :mod:`repro.fuzz.properties` — the four differential properties
   checked per generated program;

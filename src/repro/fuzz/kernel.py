@@ -4,7 +4,7 @@ A fuzz case enters the capture pipeline through exactly the machinery
 the curated kernels use — :func:`repro.kernels.common.memo_program` for
 the generated program skeleton, :func:`~repro.kernels.common.lazy_golden`
 for the reference memory image — so ``CaptureTask``/``SimPool``/
-``TraceStore`` handle it unchanged via the ``"fuzz"`` zoo entry.
+``TraceCache`` handle it unchanged via the ``"fuzz"`` zoo entry.
 
 The golden model is a second, independent functional execution of the
 same program at the same VLEN against a fresh minimal memory, and the

@@ -95,7 +95,7 @@ KERNELS = {
 #: (``scan``, ``sort``) and the seeded random-program generator
 #: (``fuzz``).  :class:`~repro.sim.parallel.CaptureTask` and
 #: :func:`~repro.eval.ablations.run_knob_sweep` resolve names here, so
-#: zoo kernels ride the same SimPool/TraceStore machinery unchanged.
+#: zoo kernels ride the same SimPool/TraceCache machinery unchanged.
 ZOO = {
     **KERNELS,
     "scan": build_scan,

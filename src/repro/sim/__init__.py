@@ -7,9 +7,9 @@ produces a machine-independent trace, :func:`~repro.sim.simulator
 one call, returning a :class:`~repro.sim.result.RunResult` with the
 architectural outcome and the cycle-level report.  Captured traces are
 shared across operating points via
-:class:`~repro.sim.trace_cache.TraceCache` — and across the whole
-benchmark suite via the disk-backed, garbage-collected
-:class:`~repro.sim.trace_store.TraceStore` — and both sweep phases fan
+:class:`~repro.sim.trace_cache.TraceCache` — an in-memory LRU that,
+given a directory, is also the disk-backed, garbage-collected store the
+whole benchmark suite shares — and both sweep phases fan
 out over one shared worker pool via :mod:`repro.sim.parallel`:
 :class:`~repro.sim.parallel.SimPool` executes tagged capture/replay
 jobs inside a single ``workers=`` process budget, and
@@ -27,12 +27,16 @@ is provable in tests and CI.
 from .simulator import Simulator, replay_trace, run_program
 from .result import RunResult
 from .faults import FaultLog, FaultPlan
-from .trace_cache import TraceCache, trace_key
-from .trace_store import TraceStore, attach_store, resolve_store_dir
+from .trace_cache import (TraceCache, attach_store, resolve_store_dir,
+                          trace_key)
 from .parallel import (CaptureTask, PipelineStats, SimPool,
                        autodetect_workers, run_pipeline)
 
+#: Former name of :class:`TraceCache`, kept only because the benchmark
+#: harness (``perfbench/worker.py``) imports it.
+TraceStore = TraceCache
+
 __all__ = ["CaptureTask", "FaultLog", "FaultPlan", "PipelineStats",
-           "Simulator", "RunResult", "SimPool", "TraceCache", "TraceStore",
+           "Simulator", "RunResult", "SimPool", "TraceCache",
            "attach_store", "autodetect_workers", "replay_trace",
            "resolve_store_dir", "run_pipeline", "run_program", "trace_key"]

@@ -20,9 +20,8 @@ narratives like "the first attempt crashes, the retry succeeds".
 Activation:
 
 * ``SimPool(fault_plan=...)`` — worker crashes and hangs;
-* ``TraceCache(fault_plan=...)`` / ``TraceStore(fault_plan=...)`` —
-  corrupted envelope payloads, ``ENOSPC`` and transient ``OSError`` on
-  disk writes;
+* ``TraceCache(fault_plan=...)`` — corrupted envelope payloads,
+  ``ENOSPC`` and transient ``OSError`` on disk writes;
 * ``$REPRO_FAULT_PLAN`` (:data:`ENV_FAULT_PLAN`) — a spec string such
   as ``seed=7,crash=0.1,corrupt=0.2`` picked up by both tiers when no
   explicit plan is passed, which is how the CI chaos-smoke job drives

@@ -56,7 +56,8 @@ tables can report capture/replay seconds per point — pipeline
 Worker-side details shared by both job kinds:
 
 * **One process-local cache per worker** — with a ``disk_dir`` it
-  rehydrates payload-free replay jobs and write-throughs captures;
+  rehydrates payload-free replay jobs (each such disk hit bumps the
+  entry's ``hits_served``, like any other) and write-throughs captures;
   either way its memory layer lets keys repeated across jobs skip
   re-shipping, and a worker that captured a trace serves its own replay
   jobs from memory.
@@ -111,8 +112,7 @@ from ..params import SystemConfig
 from ..timing.report import TimingReport
 from .faults import FaultLog, FaultPlan, JobTimeout
 from .simulator import replay_trace
-from .trace_cache import (DEFAULT_CAPACITY, TraceCache, TraceKey,
-                          _disk_payload, disk_path)
+from .trace_cache import TraceCache, TraceKey, _disk_payload, disk_path
 
 #: Executor rebuilds allowed before a sweep degrades to serial.
 DEFAULT_MAX_REBUILDS = 3
@@ -381,9 +381,10 @@ class SimPool:
       with no replays pending, captures may fill the whole budget.
       ``1`` (the default) captures in the parent process.  ``None``
       autodetects (and is then clamped to the budget).
-    * ``cache`` is the trace cache/store both phases go through; its
+    * ``cache`` is the trace cache both phases go through; its
       ``disk_dir`` (if any) is what lets workers exchange traces as
-      disk envelopes instead of pipe payloads.
+      disk envelopes instead of pipe payloads, and its ``capacity``
+      sizes each worker's memory layer.
 
     The pool is lazy: the executor spawns on first pooled submission
     and is torn down at the end of each :meth:`run` (or explicitly via
@@ -393,7 +394,6 @@ class SimPool:
     def __init__(self, workers: int | None = 1,
                  capture_workers: int | None = None,
                  cache: TraceCache | None = None,
-                 capacity: int = DEFAULT_CAPACITY,
                  fault_plan: Optional[FaultPlan] = None,
                  job_timeout: Optional[float] = None,
                  max_rebuilds: int = DEFAULT_MAX_REBUILDS) -> None:
@@ -412,7 +412,6 @@ class SimPool:
         #: capture jobs while replay jobs are pending.
         self.capture_workers = max(1, min(split, self.workers))
         self.cache = cache if cache is not None else TraceCache()
-        self.capacity = capacity
         #: Fault plan shipped to pool workers (None unless configured
         #: explicitly or via $REPRO_FAULT_PLAN).
         self.fault_plan = (fault_plan if fault_plan is not None
@@ -447,7 +446,8 @@ class SimPool:
             self._executor = ProcessPoolExecutor(
                 max_workers=self.workers,
                 initializer=_init_worker,
-                initargs=(disk_dir, self.capacity, self.fault_plan))
+                initargs=(disk_dir, self.cache.capacity,
+                          self.fault_plan))
         return self._executor
 
     def _pool_usable(self) -> bool:

@@ -18,9 +18,19 @@ points with equal keys are guaranteed to produce identical traces, so a
 replay against any machine model yields a bit-identical
 :class:`~repro.timing.report.TimingReport` to a fresh end-to-end run.
 
-The cache is an in-memory LRU with an optional on-disk pickle layer for
-cross-process reuse (e.g. ``benchmarks/out/trace_cache``, or the worker
-caches of :class:`~repro.sim.parallel.SimPool`).
+One class serves every use: an in-memory LRU plus an optional disk
+directory (``disk_dir``; ``None`` means memory-only).  With a directory
+the cache is a *shared store* — every benchmark,
+:func:`~repro.eval.runner.run_experiment`, the ``python -m repro.eval``
+CLI and every :class:`~repro.sim.parallel.SimPool` worker can attach
+to one directory, so a capture paid by one sweep is a disk hit for the
+next — and carries the lifecycle a long-lived store needs
+(:meth:`TraceCache.gc`, :meth:`TraceCache.manifest`,
+:attr:`TraceCache.store_stats`).  Callers resolve the directory at the
+edges with :func:`resolve_store_dir` (explicit path >
+``$REPRO_TRACE_STORE`` > the suite default ``benchmarks/out/trace_cache``)
+or :func:`attach_store`; the GC byte budget resolves the same way
+through :func:`resolve_store_bytes`.
 
 Disk format
 -----------
@@ -41,8 +51,9 @@ Disk entries are written for *concurrent* readers and writers sharing one
   directly.  Events that do not flatten (foreign classes, out-of-range
   fields) ride in the blob's pickled fallback map, so any trace
   round-trips losslessly.
-* **Atomic writes** — each entry is pickled to a ``tempfile`` inside
-  ``disk_dir`` and moved into place with :func:`os.replace`, so a
+* **Atomic writes** — every file (entry or sidecar) is written to a
+  ``tempfile`` inside ``disk_dir`` and moved into place with
+  :func:`os.replace` (:func:`_write_atomic`, the one writer), so a
   concurrent reader sees either the old complete file or the new
   complete file, never an interleaved or truncated one, and a crashed
   writer leaves at worst an orphaned ``*.tmp``.
@@ -54,9 +65,9 @@ Disk entries are written for *concurrent* readers and writers sharing one
   fields, or a pre-envelope bare pickle) is treated as a plain miss —
   the caller recaptures and the subsequent :meth:`TraceCache.put`
   overwrites the stale file in place.  Nesting the payload as bytes
-  lets envelope *validation* (``__contains__`` probes, the store GC's
-  stale purge) check the tags without deserializing — or decompressing
-  — the trace itself.
+  lets envelope *validation* (:meth:`TraceCache.probe`, the GC's stale
+  purge) check the tags without deserializing — or decompressing —
+  the trace itself.
 * **Payload checksum** — ``crc32`` (optional-within-v4, like
   ``hits_served``) covers the compressed payload bytes and is verified
   on every disk read and :meth:`TraceCache.probe`.  A mismatch means
@@ -73,23 +84,25 @@ Disk entries are written for *concurrent* readers and writers sharing one
   still holds it, so correctness never depends on the disk write
   landing.
 * **Popularity counter** — ``hits_served`` counts how many times the
-  entry's disk layer served a whole trace; the suite store
-  (:class:`~repro.sim.trace_store.TraceStore`) bumps it on every disk
-  hit so a future GC can weight eviction by popularity, not just
-  recency.  The live count rides in a tiny ``<entry>.hits`` *sidecar*
-  file (see :func:`sidecar_path`) so a warm hit writes a few bytes,
-  never the whole envelope; the envelope's ``hits_served`` field is
-  the base the sidecar adds to (always 0 for entries this revision
-  writes).  A (re)capture unlinks the sidecar — new payload bytes, new
-  popularity life — and a plain :class:`TraceCache` (e.g. a transient
-  pool worker's cache) never bumps it.
+  entry's disk layer served a whole trace.  One rule decides it: a
+  :meth:`TraceCache.get` that counts a ``disk_hits`` bumps the counter
+  and freshens the entry's ``mtime`` (the GC's LRU signal), on every
+  instance with a directory, pool workers included.  Nothing else
+  bumps it: adopting a worker's capture (:meth:`TraceCache
+  .ingest_remote`) counts only in ``remote_puts``, and a probe reads
+  tags only.  The live count rides in a tiny ``<entry>.hits``
+  *sidecar* file (see :func:`sidecar_path`) so a warm hit writes a few
+  bytes, never the whole envelope; the envelope's ``hits_served``
+  field is the base the sidecar adds to (always 0 for entries this
+  revision writes).  A (re)capture unlinks the sidecar — new payload
+  bytes, new popularity life.
 * **Compressed payload** — the nested payload bytes are
   zlib-compressed (v4).  Trace pickles are dominated by repetitive
   event records, so compression cuts entries by roughly an order of
   magnitude, which multiplies how many operating points fit in the
-  shared store's GC budget and shrinks what capture/replay workers
-  write.  An uncompressed v3 file reads as a plain miss via the format
-  tag, never as a decode error.
+  store's GC budget and shrinks what capture/replay workers write.
+  An uncompressed v3 file reads as a plain miss via the format tag,
+  never as a decode error.
 
 Statistics distinguish the layers: ``hits`` counts in-memory LRU hits
 only, ``disk_hits`` counts rehydrations from disk, and ``hit_rate`` is
@@ -100,19 +113,31 @@ the true in-memory rate ``hits / (hits + disk_hits + misses)``.
 so warm disk hits served by an *earlier* run stay distinguishable from
 captures this very sweep fanned out.
 
-Shared store layout and lifecycle
----------------------------------
+Store layout and lifecycle
+--------------------------
 ``disk_dir`` is flat: one ``trace_<sha256(key)[:32]>.pkl`` per entry
-(see :func:`disk_path`) plus transient ``<name>.<random>.tmp`` files
-while an atomic write is in flight.  The whole benchmark suite and
-:func:`~repro.eval.runner.run_experiment` share one such directory via
-:class:`~repro.sim.trace_store.TraceStore`, which adds the lifecycle a
-long-lived store needs — a size-capped mtime-LRU GC, stale-envelope
-purging, and crashed-writer ``*.tmp`` reaping — and resolves its
-location and byte budget from, in priority order, an explicit path
-(``pytest --trace-store`` / ``python -m repro.eval --trace-store``), the
-``REPRO_TRACE_STORE`` / ``REPRO_TRACE_STORE_BYTES`` environment
-variables, and the suite default ``benchmarks/out/trace_cache``.
+(see :func:`disk_path`), its optional ``.hits`` sidecar, plus transient
+``<name>.<random>.tmp`` files while an atomic write is in flight.  One
+:meth:`TraceCache.gc` pass, safe to run while other processes read and
+write the same directory:
+
+* **orphan reaping** — a ``*.tmp`` file older than
+  :data:`TMP_MAX_AGE_S` by the cache's clock belongs to a crashed
+  writer and is deleted;
+* **stale and corrupt purge** — entries whose envelope no longer
+  validates, or whose payload fails its checksum, would never satisfy
+  a ``get()`` again and are unlinked rather than left to shadow the
+  budget;
+* **size cap** — while the store exceeds its byte budget, the
+  oldest-``mtime`` entries are evicted first; since every disk hit
+  freshens ``mtime``, that is an LRU over *use*, not a FIFO over
+  writes;
+* **sidecar hygiene** — an entry's sidecar goes with it
+  (:func:`_unlink_entry`, the one way an entry is deleted), and a
+  sidecar whose entry vanished is reaped.
+
+Every deletion tolerates the file vanishing underneath it; losing a
+race costs at worst one re-capture, never corruption.
 """
 
 from __future__ import annotations
@@ -128,8 +153,9 @@ import warnings
 import zlib
 from collections import OrderedDict
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
+from ..env import ENV_STORE_BYTES, ENV_STORE_DIR, read_env
 from ..functional.executor import ExecResult
 from ..functional.trace_pack import PackedTrace, pack_trace, unpack_trace
 from ..isa.program import Program
@@ -164,6 +190,29 @@ DISK_FORMAT_VERSION = 6
 #: the pickling itself.
 COMPRESS_LEVEL = 6
 
+#: Suite-default store location: ``benchmarks/out/trace_cache`` (kept
+#: under the gitignored bench output directory, so a checkout never
+#: tracks cache files), anchored to the source checkout rather than the
+#: caller's working directory — :func:`resolve_store_dir` from any cwd
+#: resolves to the same suite-wide store.
+DEFAULT_STORE_DIR = (Path(__file__).resolve().parents[3]
+                     / "benchmarks" / "out" / "trace_cache")
+
+#: Default GC byte budget.  A captured trace entry for the reduced-scale
+#: sweeps is a few hundred KiB; 256 MiB comfortably holds the whole
+#: suite's cross-product several times over.
+DEFAULT_MAX_BYTES = 256 * 1024 * 1024
+
+#: A ``*.tmp`` file older than this is a crashed writer's orphan (a live
+#: writer's tempfile is seconds old, never an hour).
+TMP_MAX_AGE_S = 3600.0
+
+#: Glob of live store entries (matches :func:`disk_path` naming).
+_ENTRY_GLOB = "trace_*.pkl"
+
+#: Glob of hit-counter sidecars (see :func:`sidecar_path`).
+_SIDECAR_GLOB = "trace_*.pkl.hits"
+
 
 def trace_key(program: Program, vlen_bits: int, setup_id: str) -> TraceKey:
     """Build the canonical cache key for one operating point."""
@@ -181,9 +230,30 @@ def sidecar_path(path: Path) -> Path:
 
     Kept outside the envelope so a warm serve persists its popularity
     bump by writing a few counter bytes, not the whole entry (see
-    :meth:`~repro.sim.trace_store.TraceStore._note_disk_serve`).
+    :meth:`TraceCache._bump_hits`).
     """
     return path.with_name(path.name + ".hits")
+
+
+def resolve_store_dir(explicit: Union[str, Path, None] = None,
+                      default: Union[str, Path] = DEFAULT_STORE_DIR) -> Path:
+    """Store directory: explicit arg > $REPRO_TRACE_STORE > default."""
+    if explicit is not None:
+        return Path(explicit)
+    env = read_env(ENV_STORE_DIR)
+    if env:
+        return Path(env)
+    return Path(default)
+
+
+def resolve_store_bytes(explicit: Optional[int] = None) -> int:
+    """GC byte budget: explicit arg > $REPRO_TRACE_STORE_BYTES > default."""
+    if explicit is not None:
+        return int(explicit)
+    env = read_env(ENV_STORE_BYTES)
+    if env:
+        return int(env)
+    return DEFAULT_MAX_BYTES
 
 
 def _disk_payload(er: ExecResult) -> ExecResult:
@@ -218,36 +288,52 @@ def _payload_schema() -> tuple:
 
 def _validate_envelope(obj: object) -> bool:
     """Envelope tags are current.  Never deserializes the payload, so
-    stale-entry scans (e.g. the trace store's GC) stay cheap."""
+    stale-entry scans (e.g. the store GC) stay cheap."""
     return (isinstance(obj, dict)
             and obj.get("format") == DISK_FORMAT_VERSION
             and obj.get("schema") == _payload_schema()
             and isinstance(obj.get("payload"), bytes))
 
 
-def _write_envelope(path: Path, envelope: dict,
-                    clock: Optional[Callable[[], float]] = None) -> None:
-    """Atomically (re)write one envelope dict at ``path``.
+def _read_entry(path: Path) -> object:
+    """Unpickled contents of one entry file: the one entry reader.
 
-    The envelope is pickled to a private tempfile in the destination
-    directory and renamed over ``path``; concurrent writers race only
-    on the final :func:`os.replace`, which is atomic, so the file is
-    always one writer's complete output.
+    Raises :class:`OSError` when the file cannot be opened or read —
+    typically it is absent, or vanished under a concurrent eviction —
+    so each caller decides what a missing file means.  Bytes that do
+    not unpickle (truncation, a foreign file) return ``None``, which no
+    envelope check accepts.
+    """
+    try:
+        with path.open("rb") as fh:
+            return pickle.load(fh)
+    except (OSError, KeyboardInterrupt, SystemExit):
+        raise
+    # repro-lint: disable=RL201  unpickling foreign files raises any type
+    except Exception:
+        return None
+
+
+def _write_atomic(path: Path, data: bytes,
+                  clock: Optional[Callable[[], float]] = None) -> None:
+    """Atomically (re)write ``data`` at ``path``: the one disk writer.
+
+    The bytes go to a private tempfile beside ``path`` and are renamed
+    over it; concurrent writers race only on the final
+    :func:`os.replace`, which is atomic, so the file is always one
+    writer's complete output.
 
     ``clock`` (when given) stamps the tempfile's mtime before the
-    rename, so a store using an injected clock judges in-flight
+    rename, so a cache using an injected clock judges in-flight
     tempfile age with the *same* clock its GC reaps orphans by — the
     invariant that keeps a live writer's tempfile unreapable however
-    slow the write is (see :meth:`~repro.sim.trace_store.TraceStore
-    .gc`).
+    slow the write is (see :meth:`TraceCache.gc`).
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=str(path.parent),
-                                    prefix=path.name + ".",
-                                    suffix=".tmp")
+                                    prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            pickle.dump(envelope, fh, protocol=pickle.HIGHEST_PROTOCOL)
+            fh.write(data)
         if clock is not None:
             stamp = clock()
             os.utime(tmp_name, (stamp, stamp))
@@ -258,6 +344,43 @@ def _write_envelope(path: Path, envelope: dict,
         except OSError:
             pass
         raise
+
+
+def _unlink_quiet(path: Path) -> bool:
+    """Best-effort unlink; True when this call removed the file."""
+    try:
+        path.unlink()
+        return True
+    except OSError:
+        return False
+
+
+def _unlink_entry(path: Path) -> bool:
+    """Delete one entry and its sidecar: the one way an entry goes.
+
+    True when the entry is gone — removed here, or already removed by a
+    concurrent process (its bytes are reclaimed either way).  An entry
+    that cannot be deleted keeps its sidecar and returns False.
+    """
+    try:
+        path.unlink(missing_ok=True)
+    except OSError:
+        return False
+    _unlink_quiet(sidecar_path(path))
+    return True
+
+
+def _read_hits(side: Path) -> int:
+    """Count persisted in a sidecar: 0 for absent, torn or foreign bytes.
+
+    The counter is advisory (a lost or garbled sidecar costs popularity
+    accuracy, never correctness), so every failure mode degrades to
+    "never served" rather than an error.
+    """
+    try:
+        return int(side.read_bytes())
+    except (OSError, ValueError):
+        return 0
 
 
 def _crc_ok(obj: dict) -> bool:
@@ -304,12 +427,15 @@ def _unwrap_envelope(obj: object) -> Optional[ExecResult]:
 
 class TraceCache:
     """LRU cache of captured functional executions, keyed by
-    ``(program fingerprint, vlen_bits, setup identity)``."""
+    ``(program fingerprint, vlen_bits, setup identity)``, with an
+    optional disk directory and that directory's lifecycle (GC,
+    manifest, store stats)."""
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY,
                  disk_dir: str | Path | None = None,
                  fault_plan: Optional[FaultPlan] = None,
-                 clock: Optional[Callable[[], float]] = None) -> None:
+                 clock: Optional[Callable[[], float]] = None,
+                 max_bytes: Optional[int] = None) -> None:
         if capacity < 1:
             raise ValueError("trace cache capacity must be >= 1")
         self.capacity = capacity
@@ -320,6 +446,8 @@ class TraceCache:
         #: reaping, manifest ages) and tempfile stamp uses this one
         #: clock so they can never disagree.  ``None`` = wall clock.
         self.clock = clock
+        #: GC byte budget (see :func:`resolve_store_bytes`).
+        self.max_bytes = resolve_store_bytes(max_bytes)
         self._entries: OrderedDict[TraceKey, ExecResult] = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -333,6 +461,10 @@ class TraceCache:
         self.put_errors = 0
         #: Set once ``ENOSPC`` demoted this cache to memory-only.
         self.memory_only = False
+        #: Total sidecar bytes written persisting disk-hit bumps.
+        self.serve_write_bytes = 0
+        #: Bumps abandoned on a non-ENOSPC ``OSError`` (entry raced away).
+        self.serve_note_errors = 0
         self._write_counts: dict[str, int] = {}  # fault-roll attempt nos
         self._last_lookup: str | None = None  # "memory" | "disk" | "miss"
 
@@ -354,67 +486,100 @@ class TraceCache:
 
     # ------------------------------------------------------------------
     def get(self, key: TraceKey) -> Optional[ExecResult]:
-        """Captured execution for ``key``, or None (counts hit/miss)."""
+        """Captured execution for ``key``, or None (counts hit/miss).
+
+        The only read that counts a ``disk_hits`` — and so the only
+        read that bumps the entry's persisted ``hits_served``.
+        """
         entry = self._entries.get(key)
         if entry is not None:
             self._entries.move_to_end(key)
             self.hits += 1
             self._last_lookup = "memory"
             return entry
-        entry = self._load_from_disk(key)
+        path = self._disk_path(key)
+        entry = self._load_from_disk(path)
         if entry is not None:
             self._remember(key, entry)
             self.disk_hits += 1
+            self._bump_hits(path)
             self._last_lookup = "disk"
             return entry
         self.misses += 1
         self._last_lookup = "miss"
         return None
 
-    def _load_from_disk(self, key: TraceKey) -> Optional[ExecResult]:
-        path = self._disk_path(key)
-        if path is None or not path.exists():
+    def _load_from_disk(self, path: Optional[Path]) -> Optional[ExecResult]:
+        """Rehydrate the entry at ``path`` (None = no disk layer).
+
+        Counts no lookup and bumps nothing; an entry whose tags are
+        current but whose payload fails integrity is purged (and
+        counted in ``corrupt_purged``).
+        """
+        if path is None:
             return None
         try:
-            with path.open("rb") as fh:
-                obj = pickle.load(fh)
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        # repro-lint: disable=RL201  unpickling foreign files raises any type
-        except Exception:
-            return None  # unreadable/foreign file: fall through to a miss
+            obj = _read_entry(path)
+        except OSError:
+            return None  # absent, or vanished under a concurrent evict
         if not _validate_envelope(obj):
-            return None  # stale tags (old format/schema): a plain miss
+            return None  # stale tags, garbage bytes: a plain miss
         entry = _unwrap_envelope(obj) if _crc_ok(obj) else None
         if entry is None:
             # Tags are current but the payload is not what the writer
             # produced: purge it so the broken bytes can't shadow the
             # store budget or fail again on the next read.
             self._purge_corrupt(path)
-            return None
-        self._note_disk_serve(path, obj)
         return entry
 
-    def _purge_corrupt(self, path: Path) -> None:
-        """Unlink (and count) an entry whose payload failed integrity."""
+    def _purge_corrupt(self, path: Path) -> bool:
+        """Count and delete an entry whose payload failed integrity;
+        True when the entry is gone."""
         self.corrupt_purged += 1
-        try:
-            path.unlink()
-        except OSError:
-            pass  # already evicted/replaced concurrently
-        try:
-            sidecar_path(path).unlink()
-        except OSError:
-            pass  # no sidecar, or it vanished with the entry
+        return _unlink_entry(path)
 
-    def _note_disk_serve(self, path: Path, envelope: dict) -> None:
-        """Hook: the disk layer just served ``envelope`` whole.
+    def _roll_write(self, token: str) -> int:
+        """Number one write attempt of ``token`` and let the fault plan
+        veto it (raises ``OSError``); returns the attempt number."""
+        attempt = self._write_counts.get(token, 0)
+        self._write_counts[token] = attempt + 1
+        self.fault_plan.check_write(token, attempt)
+        return attempt
 
-        A plain cache does nothing; :class:`~repro.sim.trace_store
-        .TraceStore` overrides this to persist the entry's
-        ``hits_served`` bump (which also freshens its ``mtime``, the
-        GC's LRU signal).
+    def _bump_hits(self, path: Path) -> None:
+        """Persist one disk serve of the entry at ``path``.
+
+        The bump lands in the entry's tiny ``.hits`` sidecar — a warm
+        hit writes O(counter) bytes, never the multi-KiB envelope it
+        just read.  The entry's own ``mtime`` is then freshened so the
+        GC's eviction order stays an LRU over *use* rather than a FIFO
+        over writes.  The counter is advisory: concurrent readers race
+        last-writer-wins (a lost bump costs accuracy, never
+        correctness).
+
+        Failure handling mirrors :meth:`put`: ``ENOSPC`` demotes the
+        cache to memory-only (one-shot warning — and once demoted,
+        later serves skip the write entirely); any other ``OSError``
+        means the entry or its directory raced away and the bump is
+        dropped (counted in ``serve_note_errors``).
         """
+        if self.memory_only:
+            return
+        side = sidecar_path(path)
+        data = b"%d" % (_read_hits(side) + 1)
+        try:
+            if self.fault_plan is not None:
+                self._roll_write(side.name)
+            _write_atomic(side, data, clock=self.clock)
+            stamp = self._now()
+            os.utime(path, (stamp, stamp))
+        except OSError as exc:
+            if getattr(exc, "errno", None) == errno.ENOSPC:
+                self._degrade_memory_only(exc)
+                return
+            self.serve_note_errors += 1
+            return
+        self.serve_write_bytes += len(data)
 
     def put(self, key: TraceKey, captured: ExecResult) -> None:
         # A put invalidates the "last lookup" context: a demote_last_hit()
@@ -467,9 +632,9 @@ class TraceCache:
         A (re)capture starts the entry's ``hits_served`` life over at
         zero — the payload is new bytes, so inherited popularity would
         claim service the new trace never rendered — which includes
-        unlinking any hit-counter sidecar a store left beside the old
-        entry.  The payload checksum is computed over the exact
-        compressed bytes handed to the envelope; an active
+        unlinking any hit-counter sidecar left beside the old entry.
+        The payload checksum is computed over the exact compressed
+        bytes handed to the envelope; an active
         :class:`~repro.sim.faults.FaultPlan` may then corrupt those
         bytes or veto the write with an ``OSError``, deliberately
         *after* the checksum, so injected corruption is exactly what
@@ -484,18 +649,15 @@ class TraceCache:
                     "hits_served": 0,
                     "crc32": zlib.crc32(payload) & 0xFFFFFFFF,
                     "payload": payload}
-        plan = self.fault_plan
-        if plan is not None:
-            token = path.name
-            attempt = self._write_counts.get(token, 0)
-            self._write_counts[token] = attempt + 1
-            plan.check_write(token, attempt)
-            envelope["payload"] = plan.corrupted(token, attempt, payload)
-        _write_envelope(path, envelope, clock=self.clock)
-        try:
-            sidecar_path(path).unlink()
-        except OSError:
-            pass  # no sidecar (fresh entry) or it raced away: zero either way
+        if self.fault_plan is not None:
+            attempt = self._roll_write(path.name)
+            envelope["payload"] = self.fault_plan.corrupted(
+                path.name, attempt, payload)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        _write_atomic(path, pickle.dumps(envelope,
+                                         protocol=pickle.HIGHEST_PROTOCOL),
+                      clock=self.clock)
+        _unlink_quiet(sidecar_path(path))  # new payload, new life
 
     def ingest_remote(self, key: TraceKey,
                       payload: Optional[ExecResult] = None
@@ -506,15 +668,16 @@ class TraceCache:
         the entry to the shared disk directory (``payload=None`` — it is
         rehydrated here) or shipped the pruned payload back over the
         pipe.  Either way the capture was *paid elsewhere*: the adoption
-        is counted in ``remote_puts``, not as a hit, disk hit, or miss,
-        so the counters keep attributing functional work to whoever did
-        it.  Returns the adopted entry, or ``None`` when a disk-routed
-        entry vanished before adoption (e.g. the store's GC evicted it
-        mid-capture) — the caller must then recapture locally.
+        is counted in ``remote_puts`` only — not as a hit, disk hit or
+        miss, and it does not bump ``hits_served`` — so the counters
+        keep attributing functional work to whoever did it.  Returns
+        the adopted entry, or ``None`` when a disk-routed entry vanished
+        before adoption (e.g. the store's GC evicted it mid-capture) —
+        the caller must then recapture locally.
         """
         captured = payload
         if captured is None:
-            captured = self._load_from_disk(key)
+            captured = self._load_from_disk(self._disk_path(key))
         if captured is None:
             return None
         self._remember(key, captured)
@@ -560,9 +723,9 @@ class TraceCache:
     def probe(self, key: TraceKey) -> bool:
         """Cheap membership hint: tags and checksum, never the payload.
 
-        Unlike ``key in cache``, a disk probe validates the envelope's
-        format/schema tags and payload CRC without decompressing or
-        unpickling the trace itself, so callers that will immediately
+        A disk probe validates the envelope's format/schema tags and
+        payload CRC without decompressing or unpickling the trace
+        itself, and counts nothing, so callers that will immediately
         :meth:`get` on a positive answer (e.g. :class:`~repro.sim
         .parallel.SimPool` classifying warm keys) don't deserialize
         every entry twice.  The CRC check means byte-level corruption
@@ -574,26 +737,13 @@ class TraceCache:
         if key in self._entries:
             return True
         path = self._disk_path(key)
-        if path is None or not path.exists():
+        if path is None:
             return False
         try:
-            with path.open("rb") as fh:
-                obj = pickle.load(fh)
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        # repro-lint: disable=RL201  unpickling foreign files raises any type
-        except Exception:
+            obj = _read_entry(path)
+        except OSError:
             return False
         return _validate_envelope(obj) and _crc_ok(obj)
-
-    def __contains__(self, key: TraceKey) -> bool:
-        # Membership mirrors get(): both layers count, neither is charged
-        # a hit or miss.  The disk probe validates the full envelope —
-        # a stale or truncated file that get() would refuse must not
-        # report membership — but rehydrates nothing into the LRU.
-        if key in self._entries:
-            return True
-        return self._load_from_disk(key) is not None
 
     @property
     def stats(self) -> dict:
@@ -611,3 +761,156 @@ class TraceCache:
             "put_errors": self.put_errors,
             "memory_only": self.memory_only,
         }
+
+    # -- store lifecycle -----------------------------------------------
+    def gc(self, max_bytes: Optional[int] = None) -> dict:
+        """Run one lifecycle pass over the disk directory.
+
+        Reaps crashed-writer ``*.tmp`` orphans, purges entries whose
+        envelope no longer validates or whose payload fails its
+        checksum, then evicts oldest-``mtime`` entries until the store
+        fits ``max_bytes`` (default: the cache's configured budget).
+        Safe to run concurrently with readers and writers in other
+        processes.  Returns a summary dict; a memory-only cache has
+        nothing to collect.
+
+        Orphan ages are judged by the cache's *injected* clock
+        (``self._now()``), the same clock :func:`_write_atomic` stamps
+        tempfiles with — so a live writer's tempfile can never look
+        :data:`TMP_MAX_AGE_S` old to its own cache's GC, however slowly
+        the write progresses (e.g. under fault-injected slow I/O).
+        Mixing the wall clock here with a synthetic write clock would
+        reap in-flight writes.
+        """
+        budget = self.max_bytes if max_bytes is None else int(max_bytes)
+        summary = {"reaped_tmp": 0, "purged_stale": 0, "purged_corrupt": 0,
+                   "evicted": 0, "reaped_sidecars": 0, "entries": 0,
+                   "bytes_before": 0, "bytes_after": 0}
+        if self.disk_dir is None or not self.disk_dir.is_dir():
+            return summary
+        now = self._now()
+
+        for tmp in self.disk_dir.glob("*.tmp"):
+            try:
+                if now - tmp.stat().st_mtime >= TMP_MAX_AGE_S:
+                    tmp.unlink()
+                    summary["reaped_tmp"] += 1
+            except OSError:
+                continue  # vanished or finished mid-scan: not an orphan
+
+        live: list[tuple[float, int, Path]] = []
+        for path in sorted(self.disk_dir.glob(_ENTRY_GLOB)):
+            try:
+                stat = path.stat()
+                obj = _read_entry(path)
+            except OSError:
+                continue  # concurrently evicted: nothing to manage
+            # Tag-only validation, then a CRC pass over the packed
+            # payload bytes: a full-store scan never deserializes a
+            # single trace.  Corrupt entries are counted separately so a
+            # corruption burst is visible in the summary.
+            if not _validate_envelope(obj):
+                if _unlink_entry(path):
+                    summary["purged_stale"] += 1
+            elif not _crc_ok(obj):
+                if self._purge_corrupt(path):
+                    summary["purged_corrupt"] += 1
+            else:
+                live.append((stat.st_mtime, stat.st_size, path))
+
+        total = sum(size for _, size, _ in live)
+        summary["bytes_before"] = total
+        live.sort(key=lambda item: (item[0], item[2].name))  # oldest first
+        survivors = len(live)
+        for _, size, path in live:
+            if total <= budget:
+                break
+            if not _unlink_entry(path):
+                continue  # undeletable: it still counts against the budget
+            total -= size
+            survivors -= 1
+            summary["evicted"] += 1
+        summary["bytes_after"] = total
+        summary["entries"] = survivors
+
+        # Sidecars never outlive their entry: one orphaned by a crash
+        # between an eviction and its sidecar unlink (or by a foreign
+        # process's eviction) is reaped here.
+        for side in self.disk_dir.glob(_SIDECAR_GLOB):
+            entry = side.with_name(side.name[:-len(".hits")])
+            if not entry.exists() and _unlink_quiet(side):
+                summary["reaped_sidecars"] += 1
+        return summary
+
+    def manifest(self) -> list[dict]:
+        """Per-entry view: file name, size, age, and hits served.
+
+        ``hits_served`` is the envelope's base count plus the ``.hits``
+        sidecar's serves-since-write (the payload stays packed — a
+        manifest pass never decompresses a trace); an unreadable
+        envelope or absent sidecar contributes 0.  The ``corrupt`` flag
+        marks entries whose payload fails its checksum (or whose
+        envelope cannot be read at all) — candidates the next
+        :meth:`gc` pass will purge.
+        """
+        if self.disk_dir is None or not self.disk_dir.is_dir():
+            return []
+        now = self._now()
+        rows = []
+        for path in sorted(self.disk_dir.glob(_ENTRY_GLOB)):
+            try:
+                stat = path.stat()
+            except OSError:
+                continue
+            try:
+                obj = _read_entry(path)
+            except OSError:
+                obj = None  # vanished since the stat: unreadable
+            base = obj.get("hits_served", 0) if isinstance(obj, dict) else 0
+            rows.append({"file": path.name, "bytes": stat.st_size,
+                         "age_s": max(0.0, now - stat.st_mtime),
+                         "hits_served": (_read_hits(sidecar_path(path))
+                                         + (base if isinstance(base, int)
+                                            else 0)),
+                         "corrupt": obj is None or (_validate_envelope(obj)
+                                                    and not _crc_ok(obj))})
+        return rows
+
+    @property
+    def store_stats(self) -> dict:
+        """Aggregate disk-side view plus the in-memory cache counters."""
+        manifest = self.manifest()
+        ages = [row["age_s"] for row in manifest]
+        stats = dict(self.stats)
+        stats.update({
+            "dir": str(self.disk_dir),
+            "disk_entries": len(manifest),
+            "disk_bytes": sum(row["bytes"] for row in manifest),
+            "oldest_age_s": max(ages) if ages else 0.0,
+            "newest_age_s": min(ages) if ages else 0.0,
+            "hits_served": sum(row["hits_served"] for row in manifest),
+            "corrupt_entries": sum(1 for row in manifest if row["corrupt"]),
+            "max_bytes": self.max_bytes,
+            "serve_write_bytes": self.serve_write_bytes,
+            "serve_note_errors": self.serve_note_errors,
+        })
+        return stats
+
+
+def attach_store(store: Union[TraceCache, str, Path, None] = None
+                 ) -> Optional[TraceCache]:
+    """Resolve a caller-supplied store argument to a usable cache.
+
+    * a :class:`TraceCache` instance — used as-is;
+    * a path — a :class:`TraceCache` attached to that directory;
+    * ``None`` — a :class:`TraceCache` at ``$REPRO_TRACE_STORE`` when
+      the environment names one, else ``None`` (caller keeps its
+      private-cache behaviour).
+    """
+    if isinstance(store, TraceCache):
+        return store
+    if store is not None:
+        return TraceCache(disk_dir=store)
+    if read_env(ENV_STORE_DIR):
+        return TraceCache(disk_dir=resolve_store_dir())
+    return None

@@ -20,8 +20,7 @@ import warnings
 import pytest
 
 from repro.params import Ara2Config, AraXLConfig
-from repro.sim import (CaptureTask, SimPool, TraceCache, TraceStore,
-                       run_pipeline)
+from repro.sim import CaptureTask, SimPool, TraceCache, run_pipeline
 from repro.sim.faults import (ENV_FAULT_PLAN, FaultLog, FaultPlan,
                               JobTimeout)
 from repro.sim.trace_cache import disk_path
@@ -48,10 +47,10 @@ class TestChaosSweeps:
     def test_sweep_byte_identical_under_chaos(self, name, tmp_path,
                                               monkeypatch):
         sweep = SWEEPS[name]
-        clean = sweep(TraceStore(disk_dir=tmp_path / "clean"), 1, 1)
+        clean = sweep(TraceCache(disk_dir=tmp_path / "clean"), 1, 1)
 
         monkeypatch.setenv(ENV_FAULT_PLAN, CHAOS_SPEC)
-        store = TraceStore(disk_dir=tmp_path / "chaos")
+        store = TraceCache(disk_dir=tmp_path / "chaos")
         pool = SimPool(workers=2, capture_workers=2, cache=store,
                        job_timeout=CHAOS_JOB_TIMEOUT)
         chaotic = sweep(store, 2, 2, sim_pool=pool)
@@ -112,7 +111,7 @@ class TestPoolRecoveryLadder:
         plan = FaultPlan(seed=3, hang_rate=1.0, hang_attempts=1,
                          hang_seconds=3.0)
         pool = SimPool(workers=2, capture_workers=2,
-                       cache=TraceStore(disk_dir=tmp_path),
+                       cache=TraceCache(disk_dir=tmp_path),
                        fault_plan=plan, job_timeout=0.3)
         assert _tiny_pipeline(pool) == tiny_serial
         assert pool.fault_log.timeouts >= 1
@@ -125,7 +124,7 @@ class TestPoolRecoveryLadder:
         fires on each job's first attempt)."""
         plan = FaultPlan(seed=5, crash_rate=1.0, crash_attempts=1)
         pool = SimPool(workers=2, capture_workers=2,
-                       cache=TraceStore(disk_dir=tmp_path),
+                       cache=TraceCache(disk_dir=tmp_path),
                        fault_plan=plan, max_rebuilds=10)
         assert _tiny_pipeline(pool) == tiny_serial
         assert pool.fault_log.worker_crashes >= 1
@@ -139,7 +138,7 @@ class TestPoolRecoveryLadder:
         one pooled retry, then runs in the parent with its key flagged."""
         plan = FaultPlan(seed=5, crash_rate=1.0)  # no attempt cap
         pool = SimPool(workers=2, capture_workers=2,
-                       cache=TraceStore(disk_dir=tmp_path),
+                       cache=TraceCache(disk_dir=tmp_path),
                        fault_plan=plan, max_rebuilds=50)
         assert _tiny_pipeline(pool) == tiny_serial
         assert pool.fault_log.quarantined >= 1
@@ -152,7 +151,7 @@ class TestPoolRecoveryLadder:
         serial-only — the sweep completes in-process, counted once."""
         plan = FaultPlan(seed=5, crash_rate=1.0)
         pool = SimPool(workers=2, capture_workers=2,
-                       cache=TraceStore(disk_dir=tmp_path),
+                       cache=TraceCache(disk_dir=tmp_path),
                        fault_plan=plan, max_rebuilds=0)
         assert _tiny_pipeline(pool) == tiny_serial
         assert pool.fault_log.serial_degradations == 1
@@ -182,13 +181,13 @@ class TestStoreIntegrity:
         """A corrupted payload fails its CRC on the next disk read: the
         entry is purged and counted, and the caller sees a plain miss
         (so the pipeline recaptures instead of crashing)."""
-        writer = TraceStore(disk_dir=tmp_path,
+        writer = TraceCache(disk_dir=tmp_path,
                             fault_plan=FaultPlan(seed=2, corrupt_rate=1.0))
         key = _capture_one(writer)
         path = disk_path(tmp_path, key)
         assert path.exists()
 
-        reader = TraceStore(disk_dir=tmp_path)
+        reader = TraceCache(disk_dir=tmp_path)
         assert reader.probe(key) is False  # CRC checked without decode
         assert reader.get(key) is None
         assert reader.corrupt_purged == 1
@@ -196,10 +195,10 @@ class TestStoreIntegrity:
         assert not path.exists()
 
     def test_gc_purges_checksum_failures(self, tmp_path):
-        writer = TraceStore(disk_dir=tmp_path,
+        writer = TraceCache(disk_dir=tmp_path,
                             fault_plan=FaultPlan(seed=2, corrupt_rate=1.0))
         _capture_one(writer)
-        store = TraceStore(disk_dir=tmp_path)
+        store = TraceCache(disk_dir=tmp_path)
         assert any(row["corrupt"] for row in store.manifest())
         assert store.store_stats["corrupt_entries"] == 1
         summary = store.gc()
@@ -209,7 +208,7 @@ class TestStoreIntegrity:
 
     def test_enospc_degrades_to_memory_only_with_one_warning(self,
                                                              tmp_path):
-        store = TraceStore(disk_dir=tmp_path,
+        store = TraceCache(disk_dir=tmp_path,
                            fault_plan=FaultPlan(seed=1, enospc_rate=1.0))
         with pytest.warns(RuntimeWarning, match="memory-only"):
             key = _capture_one(store, k=16)
@@ -223,17 +222,17 @@ class TestStoreIntegrity:
         assert not list(tmp_path.glob("*.pkl"))  # nothing hit the disk
 
     def test_transient_io_error_is_retried_and_succeeds(self, tmp_path):
-        store = TraceStore(disk_dir=tmp_path,
+        store = TraceCache(disk_dir=tmp_path,
                            fault_plan=FaultPlan(seed=1, io_error_rate=1.0,
                                                 io_attempts=1))
         key = _capture_one(store)
         assert store.io_retries == 1
         assert store.put_errors == 0
         assert not store.memory_only
-        assert TraceStore(disk_dir=tmp_path).probe(key)  # landed intact
+        assert TraceCache(disk_dir=tmp_path).probe(key)  # landed intact
 
     def test_persistent_io_error_abandons_the_entry(self, tmp_path):
-        store = TraceStore(disk_dir=tmp_path,
+        store = TraceCache(disk_dir=tmp_path,
                            fault_plan=FaultPlan(seed=1, io_error_rate=1.0))
         key = _capture_one(store)
         assert store.put_errors == 1

@@ -632,6 +632,16 @@ def test_baseline_is_empty():
     assert data["entries"] == []
 
 
+def test_every_checker_scope_path_exists():
+    """Each ``scope``/``exclude`` prefix names a real file or directory,
+    so deleting or renaming a module cannot leave a scope entry that
+    silently checks nothing."""
+    for checker in ALL_CHECKERS:
+        for prefix in tuple(checker.scope) + tuple(checker.exclude):
+            assert (REPO_ROOT / prefix).exists(), \
+                f"{checker.code}: scope path {prefix!r} does not exist"
+
+
 def test_every_pragma_in_src_names_a_real_rule():
     """Cross-check: pragmas under src/ only disable codes the suite
     actually runs (RL001 would catch unknown codes at lint time; this

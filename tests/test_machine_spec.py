@@ -245,20 +245,20 @@ class TestSweepIntegration:
         # A pure-YAML machine with the same VLEN as a builtin replays
         # the builtin's stored capture: zero new captures executed.
         from repro.eval.table1_kernels import run_table1
-        from repro.sim.trace_store import TraceStore
+        from repro.sim.trace_cache import TraceCache
         path = tmp_path / "toy.yaml"
         path.write_text("name: toy-64L\nfamily: araxl\nlanes: 64\n"
                         "interconnect:\n  ring_hop_latency: 4\n")
         store_dir = tmp_path / "store"
 
-        warm = TraceStore(disk_dir=store_dir)
+        warm = TraceCache(disk_dir=store_dir)
         run_table1(config=AraXLConfig(lanes=64), scale="reduced",
                    trace_cache=warm)
         captured = warm.misses
         assert captured > 0
 
         toy = get_machine(str(path))
-        cold = TraceStore(disk_dir=store_dir)
+        cold = TraceCache(disk_dir=store_dir)
         rows = run_table1(config=toy, scale="reduced", trace_cache=cold)
         assert cold.misses == 0, "YAML machine must reuse stored captures"
         assert len(rows) > 0

@@ -12,8 +12,8 @@ from repro.eval.fig7_latency import render_fig7, run_fig7
 from repro.eval.table3_ppa import render_table3, run_table3
 from repro.kernels import build_fmatmul
 from repro.params import Ara2Config, AraXLConfig
-from repro.sim import (CaptureTask, SimPool, TraceCache, TraceStore,
-                       replay_trace, run_pipeline)
+from repro.sim import (CaptureTask, SimPool, TraceCache, replay_trace,
+                       run_pipeline)
 from repro.sim.faults import FaultPlan
 from repro.sim.trace_cache import DISK_FORMAT_VERSION, disk_path
 
@@ -52,9 +52,9 @@ class TestPipelineReplays:
         captures = [_fmatmul_task(small), _fmatmul_task(big)]
         replays = [(small, 0), (big, 1)]
         serial = run_pipeline(captures, replays, SimPool(
-            workers=1, cache=TraceStore(disk_dir=tmp_path)))
+            workers=1, cache=TraceCache(disk_dir=tmp_path)))
         pool = SimPool(workers=2, capture_workers=1,
-                       cache=TraceStore(disk_dir=tmp_path))
+                       cache=TraceCache(disk_dir=tmp_path))
         assert run_pipeline(captures, replays, pool) == serial
         stats = pool.stats
         assert stats["workers"] >= 1
@@ -71,7 +71,7 @@ class TestPipelineReplays:
         replays = [(small, 0), (small_xl, 0), (small, 1), (small_xl, 1)]
         serial = run_pipeline(captures, replays,
                               SimPool(workers=1, cache=TraceCache()))
-        store = TraceStore(disk_dir=tmp_path,
+        store = TraceCache(disk_dir=tmp_path,
                            fault_plan=FaultPlan.from_spec("seed=1,corrupt=1.0"))
         pool = SimPool(workers=2, capture_workers=1, cache=store)
         assert run_pipeline(captures, replays, pool) == serial
@@ -182,7 +182,7 @@ class TestDiskFormatVersioning:
             pickle.dump(envelope, fh)
 
         stale = TraceCache(disk_dir=tmp_path)
-        assert key not in stale  # membership validates the envelope too
+        assert not stale.probe(key)  # the probe validates the tags too
         assert stale.get(key) is None
         assert stale.stats["misses"] == 1 and stale.stats["disk_hits"] == 0
         # The recapture path (put) overwrites the stale file in place.
@@ -212,13 +212,13 @@ class TestDiskFormatVersioning:
         path = disk_path(tmp_path, key)
         path.write_bytes(path.read_bytes()[:50])
         cache = TraceCache(disk_dir=tmp_path)
-        assert key not in cache
+        assert not cache.probe(key)
         assert cache.get(key) is None
         assert cache.stats["misses"] == 1
 
 
 class TestCacheMembershipAndStats:
-    def test_contains_consults_disk_without_counting(self, tmp_path):
+    def test_probe_consults_disk_without_counting(self, tmp_path):
         cfg = Ara2Config(lanes=4)
         run = build_fmatmul(cfg, 64, m=8, k=16)
         writer = TraceCache(disk_dir=tmp_path)
@@ -226,10 +226,10 @@ class TestCacheMembershipAndStats:
         key = run.trace_key(cfg)
 
         fresh = TraceCache(disk_dir=tmp_path)  # empty memory, warm disk
-        assert key in fresh
+        assert fresh.probe(key)
         assert fresh.stats["lookups"] == 0  # membership is not a lookup
         memory_only = TraceCache()
-        assert key not in memory_only
+        assert not memory_only.probe(key)
 
     def test_disk_hits_split_from_memory_hits(self, tmp_path):
         cfg = Ara2Config(lanes=4)

@@ -24,7 +24,7 @@ import pytest
 
 from repro.eval.fig6_scaling import render_fig6, run_fig6
 from repro.params import Ara2Config, AraXLConfig
-from repro.sim import SimPool, TraceCache, TraceStore
+from repro.sim import SimPool, TraceCache
 from repro.sim.parallel import PARENT_WORKER, PipelineStats
 import repro.sim.parallel as parallel_mod
 
@@ -91,7 +91,7 @@ class TestSingleSharedExecutor:
                             _RecordingExecutor)
         _RecordingExecutor.instances = []
         pool = SimPool(workers=2, capture_workers=5,
-                       cache=TraceStore(disk_dir=tmp_path))
+                       cache=TraceCache(disk_dir=tmp_path))
         serial = _small_fig6(SimPool(workers=1, cache=TraceCache()))
         pooled = _small_fig6(pool)
         assert pooled == serial
@@ -107,7 +107,7 @@ class TestSingleSharedExecutor:
             parallel_mod, "ProcessPoolExecutor",
             lambda *a, **k: pytest.fail("workers=1 must stay in-process"))
         pool = SimPool(workers=1, capture_workers=4,
-                       cache=TraceStore(disk_dir=tmp_path))
+                       cache=TraceCache(disk_dir=tmp_path))
         _small_fig6(pool)
 
 
@@ -154,10 +154,10 @@ class TestSweepIdentityAcrossPoolSizings:
         render the same bytes (results order is replay order, not
         completion order)."""
         sweep = SWEEPS[name]
-        serial = sweep(TraceStore(disk_dir=tmp_path / "serial"), 1, 1)
-        replay_only = sweep(TraceStore(disk_dir=tmp_path / "r"), 3, 1)
+        serial = sweep(TraceCache(disk_dir=tmp_path / "serial"), 1, 1)
+        replay_only = sweep(TraceCache(disk_dir=tmp_path / "r"), 3, 1)
         assert replay_only == serial
-        shared = sweep(TraceStore(disk_dir=tmp_path / "s"), 2, 2)
+        shared = sweep(TraceCache(disk_dir=tmp_path / "s"), 2, 2)
         assert shared == serial
 
 
@@ -181,13 +181,13 @@ class TestPipelineStats:
 
     def test_pooled_pipeline_counts_match_serial(self, tmp_path):
         pool = SimPool(workers=2, capture_workers=2,
-                       cache=TraceStore(disk_dir=tmp_path))
+                       cache=TraceCache(disk_dir=tmp_path))
         _small_fig6(pool)
         assert self._counts(pool) == (4, 6)
 
     def test_per_worker_breakdown_sums_to_totals(self, tmp_path):
         pool = SimPool(workers=2, capture_workers=2,
-                       cache=TraceStore(disk_dir=tmp_path))
+                       cache=TraceCache(disk_dir=tmp_path))
         _small_fig6(pool)
         ps = pool.pipeline_stats
         for tag in ("capture", "replay"):
@@ -200,9 +200,9 @@ class TestPipelineStats:
 
     def test_warm_pipeline_serves_captures_in_parent(self, tmp_path):
         store_dir = tmp_path / "warm"
-        _small_fig6(SimPool(workers=1, cache=TraceStore(disk_dir=store_dir)))
+        _small_fig6(SimPool(workers=1, cache=TraceCache(disk_dir=store_dir)))
         pool = SimPool(workers=2, capture_workers=2,
-                       cache=TraceStore(disk_dir=store_dir))
+                       cache=TraceCache(disk_dir=store_dir))
         _small_fig6(pool)
         ps = pool.pipeline_stats
         # Warm keys never reach the workers' capture path.
@@ -233,7 +233,7 @@ class TestSharedPoolDegradation:
         monkeypatch.setattr(parallel_mod, "_run_job",
                             lambda *a: (_ for _ in ()).throw(RuntimeError))
         pool = SimPool(workers=2, capture_workers=2,
-                       cache=TraceStore(disk_dir=tmp_path))
+                       cache=TraceCache(disk_dir=tmp_path))
         assert _small_fig6(pool) == serial
         assert pool.fallbacks > 0
         # Accounting stays points-served, not attempts: 4 distinct
@@ -246,10 +246,10 @@ class TestSharedPoolDegradation:
         """A worker capture whose entry the GC eats before adoption is
         re-captured locally — extra seconds, but the operating point is
         only counted once (bench assertions rely on points == points)."""
-        monkeypatch.setattr(TraceStore, "ingest_remote",
+        monkeypatch.setattr(TraceCache, "ingest_remote",
                             lambda self, key, payload=None: None)
         pool = SimPool(workers=2, capture_workers=2,
-                       cache=TraceStore(disk_dir=tmp_path))
+                       cache=TraceCache(disk_dir=tmp_path))
         _small_fig6(pool)
         assert pool.fallbacks == 4
         assert pool.pipeline_stats.capture_points == 4
@@ -267,7 +267,7 @@ class TestSharedPoolDegradation:
                                            {"m": 8, "k": 16})]
         assert captures[0].key() == captures[1].key()
         replays = [(cfg_a, 0), (cfg_b, 1)]
-        store = TraceStore(disk_dir=tmp_path)
+        store = TraceCache(disk_dir=tmp_path)
         pool = SimPool(workers=2, capture_workers=2, cache=store)
         reports = run_pipeline(captures, replays, pool)
         assert all(r is not None for r in reports)

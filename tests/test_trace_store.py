@@ -1,4 +1,5 @@
-"""Shared trace store: GC lifecycle, stats bugfixes, cross-sweep sharing."""
+"""Shared trace store (a directory-backed ``TraceCache``): GC lifecycle,
+the one hit-accounting rule, stats bugfixes, cross-sweep sharing."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import warnings
 
 import pytest
 
+from repro.env import ENV_STORE_BYTES, ENV_STORE_DIR
 from repro.eval.fig6_scaling import run_fig6
 from repro.eval.fig7_latency import render_fig7, run_fig7
 from repro.eval.runner import (EXPERIMENTS, SIMULATION_EXPERIMENTS,
@@ -17,10 +19,10 @@ from repro.eval.runner import (EXPERIMENTS, SIMULATION_EXPERIMENTS,
 from repro.eval.table1_kernels import render_table1, run_table1
 from repro.kernels import build_fmatmul
 from repro.params import Ara2Config, AraXLConfig
-from repro.sim import TraceCache, TraceStore, attach_store
-from repro.sim.trace_cache import disk_path
-from repro.sim.trace_store import (ENV_STORE_BYTES, ENV_STORE_DIR,
-                                   resolve_store_bytes, resolve_store_dir)
+from repro.sim import TraceCache, attach_store
+from repro.sim.trace_cache import (TMP_MAX_AGE_S, _read_hits, disk_path,
+                                   resolve_store_bytes, resolve_store_dir,
+                                   sidecar_path)
 
 
 def _capture_entry(store, k=16, lanes=4):
@@ -45,7 +47,7 @@ def _set_age(path, age_s):
 # ----------------------------------------------------------------------
 class TestStoreGc:
     def test_size_cap_evicts_oldest_mtime_first(self, tmp_path):
-        store = TraceStore(disk_dir=tmp_path)
+        store = TraceCache(disk_dir=tmp_path)
         keys = [_capture_entry(store, k=k) for k in (16, 32, 48)]
         paths = [_entry_file(store, key) for key in keys]
         for path, age in zip(paths, (300, 200, 100)):  # [0] is oldest
@@ -60,14 +62,14 @@ class TestStoreGc:
         assert summary["entries"] == 2
 
     def test_disk_hit_freshens_mtime_so_gc_is_lru(self, tmp_path):
-        writer = TraceStore(disk_dir=tmp_path)
+        writer = TraceCache(disk_dir=tmp_path)
         key_a = _capture_entry(writer, k=16)
         key_b = _capture_entry(writer, k=32)
         path_a, path_b = (_entry_file(writer, k) for k in (key_a, key_b))
         _set_age(path_a, 500)  # A written long ago...
         _set_age(path_b, 100)
 
-        reader = TraceStore(disk_dir=tmp_path)
+        reader = TraceCache(disk_dir=tmp_path)
         assert reader.get(key_a) is not None  # ...but used just now
 
         reader.gc(max_bytes=path_a.stat().st_size)
@@ -75,7 +77,7 @@ class TestStoreGc:
         assert not path_b.exists(), "least-recently-used entry evicted"
 
     def test_stale_envelope_files_are_purged(self, tmp_path):
-        store = TraceStore(disk_dir=tmp_path)
+        store = TraceCache(disk_dir=tmp_path)
         key = _capture_entry(store)
         good = _entry_file(store, key)
 
@@ -96,11 +98,11 @@ class TestStoreGc:
         assert not bare.exists() and not corrupt.exists()
 
     def test_orphaned_tmp_files_are_reaped(self, tmp_path):
-        store = TraceStore(disk_dir=tmp_path)
+        store = TraceCache(disk_dir=tmp_path)
         _capture_entry(store)
         crashed = tmp_path / "trace_dead.pkl.123.tmp"
         crashed.write_bytes(b"half-written")
-        _set_age(crashed, 2 * store.tmp_max_age_s)
+        _set_age(crashed, 2 * TMP_MAX_AGE_S)
         in_flight = tmp_path / "trace_live.pkl.456.tmp"
         in_flight.write_bytes(b"being written right now")
 
@@ -116,7 +118,7 @@ class TestStoreGc:
         in-flight write of a faked-time test looks ancient and gets
         reaped out from under its writer."""
         fake = [1_000_000.0]  # decades behind time.time()
-        store = TraceStore(disk_dir=tmp_path, clock=lambda: fake[0])
+        store = TraceCache(disk_dir=tmp_path, clock=lambda: fake[0])
         _capture_entry(store)
         in_flight = tmp_path / "trace_live.pkl.42.tmp"
         in_flight.write_bytes(b"being written right now")
@@ -126,12 +128,12 @@ class TestStoreGc:
         assert in_flight.exists(), \
             "a tempfile stamped 'now' by the store's clock is not an orphan"
 
-        fake[0] += 2 * store.tmp_max_age_s
+        fake[0] += 2 * TMP_MAX_AGE_S
         assert store.gc()["reaped_tmp"] == 1
         assert not in_flight.exists()
 
     def test_gc_on_missing_dir_is_a_noop(self, tmp_path):
-        store = TraceStore(disk_dir=tmp_path / "never_created")
+        store = TraceCache(disk_dir=tmp_path / "never_created")
         summary = store.gc()
         assert summary == {"reaped_tmp": 0, "purged_stale": 0,
                            "purged_corrupt": 0, "evicted": 0,
@@ -139,7 +141,7 @@ class TestStoreGc:
                            "bytes_before": 0, "bytes_after": 0}
 
     def test_manifest_and_store_stats(self, tmp_path):
-        store = TraceStore(disk_dir=tmp_path, max_bytes=12345)
+        store = TraceCache(disk_dir=tmp_path, max_bytes=12345)
         _capture_entry(store, k=16)
         _capture_entry(store, k=32)
         manifest = store.manifest()
@@ -156,7 +158,7 @@ class TestStoreGc:
 
 def _hammer_store_puts(disk_dir: str, iterations: int) -> None:
     """Writer process: repeatedly re-put one entry while the parent GCs."""
-    store = TraceStore(disk_dir=disk_dir)
+    store = TraceCache(disk_dir=disk_dir)
     cfg = Ara2Config(lanes=4)
     run = build_fmatmul(cfg, 64, m=8, k=16)
     captured = run.capture(cfg, verify=False)
@@ -173,7 +175,7 @@ class TestGcConcurrency:
                                        args=(str(tmp_path), 40))
         proc.start()
         gcs = 0
-        store = TraceStore(disk_dir=tmp_path)
+        store = TraceCache(disk_dir=tmp_path)
         while proc.is_alive():
             store.gc(max_bytes=0)
             gcs += 1
@@ -182,7 +184,7 @@ class TestGcConcurrency:
         assert gcs > 0
         # Whatever survived the race, the store still works end to end.
         key = _capture_entry(store)
-        fresh = TraceStore(disk_dir=tmp_path)
+        fresh = TraceCache(disk_dir=tmp_path)
         assert fresh.get(key) is not None
         assert fresh.stats["disk_hits"] == 1
 
@@ -213,12 +215,12 @@ class TestStoreResolution:
         cache = TraceCache()
         assert attach_store(cache) is cache
         store = attach_store(tmp_path / "s")
-        assert isinstance(store, TraceStore)
+        assert isinstance(store, TraceCache)
         assert store.disk_dir == tmp_path / "s"
         assert attach_store(None) is None
         monkeypatch.setenv(ENV_STORE_DIR, str(tmp_path / "envstore"))
         via_env = attach_store(None)
-        assert isinstance(via_env, TraceStore)
+        assert isinstance(via_env, TraceCache)
         assert via_env.disk_dir == tmp_path / "envstore"
 
 
@@ -288,13 +290,13 @@ class TestSharedStoreAcrossSweeps:
     def test_two_sweeps_share_one_store(self, tmp_path):
         """A fig6 capture is a disk hit for a fig7 run over the same
         operating point — the whole point of the shared store."""
-        store1 = TraceStore(disk_dir=tmp_path)
+        store1 = TraceCache(disk_dir=tmp_path)
         run_fig6(kernels=("fmatmul",), bytes_per_lane=(64,),
                  machines=[Ara2Config(lanes=8)], scale="reduced",
                  trace_cache=store1)
         assert store1.stats["misses"] == 1  # fig6 paid the capture
 
-        store2 = TraceStore(disk_dir=tmp_path)  # fresh attach, same disk
+        store2 = TraceCache(disk_dir=tmp_path)  # fresh attach, same disk
         points = run_fig7(**self._FIG7_KW, trace_cache=store2)
         assert store2.stats["misses"] == 0
         assert store2.stats["disk_hits"] >= 1  # served from fig6's capture
@@ -302,25 +304,25 @@ class TestSharedStoreAcrossSweeps:
         assert render_fig7(points) == render_fig7(private)
 
     def test_output_identical_cold_warm_and_gcd(self, tmp_path):
-        store = TraceStore(disk_dir=tmp_path)
+        store = TraceCache(disk_dir=tmp_path)
         cold = run_fig7(**self._FIG7_KW, trace_cache=store)
         warm = run_fig7(**self._FIG7_KW,
-                        trace_cache=TraceStore(disk_dir=tmp_path))
+                        trace_cache=TraceCache(disk_dir=tmp_path))
         store.gc(max_bytes=0)  # evict everything mid-run
         assert store.manifest() == []
         gcd = run_fig7(**self._FIG7_KW,
-                       trace_cache=TraceStore(disk_dir=tmp_path))
+                       trace_cache=TraceCache(disk_dir=tmp_path))
         assert render_fig7(cold) == render_fig7(warm) == render_fig7(gcd)
 
     def test_table1_reads_and_warms_the_store(self, tmp_path):
         cfg = AraXLConfig(lanes=8)
         kw = dict(config=cfg, bytes_per_lane=64, scale="reduced")
-        store = TraceStore(disk_dir=tmp_path)
+        store = TraceCache(disk_dir=tmp_path)
         first = run_table1(**kw, trace_cache=store)
         assert store.stats["misses"] > 0  # cold: capture phase ran
         assert len(store.manifest()) == store.stats["misses"]  # warmed disk
 
-        again = TraceStore(disk_dir=tmp_path)
+        again = TraceCache(disk_dir=tmp_path)
         second = run_table1(**kw, trace_cache=again)
         assert again.stats["misses"] == 0
         assert again.stats["disk_hits"] == store.stats["misses"]
@@ -379,16 +381,11 @@ class TestHitsServed:
 
     def _hits(self, path):
         """Persisted serve count: envelope base + ``.hits`` sidecar."""
-        from repro.sim.trace_cache import sidecar_path
-        from repro.sim.trace_store import _read_hits
-
         return (self._envelope(path)["hits_served"]
                 + _read_hits(sidecar_path(path)))
 
     def test_fresh_entry_starts_at_zero(self, tmp_path):
-        from repro.sim.trace_cache import sidecar_path
-
-        store = TraceStore(disk_dir=tmp_path)
+        store = TraceCache(disk_dir=tmp_path)
         key = _capture_entry(store)
         path = _entry_file(store, key)
         assert self._hits(path) == 0
@@ -396,37 +393,37 @@ class TestHitsServed:
         assert store.manifest()[0]["hits_served"] == 0
 
     def test_disk_hit_bumps_and_persists(self, tmp_path):
-        writer = TraceStore(disk_dir=tmp_path)
+        writer = TraceCache(disk_dir=tmp_path)
         key = _capture_entry(writer)
         path = _entry_file(writer, key)
 
-        reader = TraceStore(disk_dir=tmp_path)  # cold memory, warm disk
+        reader = TraceCache(disk_dir=tmp_path)  # cold memory, warm disk
         assert reader.get(key) is not None  # disk hit -> bump
         assert self._hits(path) == 1
         assert reader.get(key) is not None  # memory hit -> no bump
         assert self._hits(path) == 1
-        assert TraceStore(disk_dir=tmp_path).get(key) is not None
+        assert TraceCache(disk_dir=tmp_path).get(key) is not None
         assert self._hits(path) == 2
 
     def test_bump_freshens_mtime_for_lru(self, tmp_path):
-        store = TraceStore(disk_dir=tmp_path)
+        store = TraceCache(disk_dir=tmp_path)
         key = _capture_entry(store)
         path = _entry_file(store, key)
         _set_age(path, 1000)
         aged = path.stat().st_mtime
-        assert TraceStore(disk_dir=tmp_path).get(key) is not None
+        assert TraceCache(disk_dir=tmp_path).get(key) is not None
         assert path.stat().st_mtime > aged  # utime freshens, no rewrite
 
     def test_payload_survives_bumps(self, tmp_path):
         from repro.sim import replay_trace
 
-        store = TraceStore(disk_dir=tmp_path)
+        store = TraceCache(disk_dir=tmp_path)
         cfg = Ara2Config(lanes=4)
         run = build_fmatmul(cfg, 64, m=8, k=16)
         run.capture(cfg, cache=store, verify=False)
         key = run.trace_key(cfg)
         for _ in range(3):
-            entry = TraceStore(disk_dir=tmp_path).get(key)
+            entry = TraceCache(disk_dir=tmp_path).get(key)
             assert entry is not None
         assert replay_trace(cfg, entry).timing \
             == run.run(cfg, verify=False).timing
@@ -434,7 +431,7 @@ class TestHitsServed:
     def test_envelope_counter_field_is_the_base(self, tmp_path):
         """An envelope carrying a non-zero ``hits_served`` (e.g. a file a
         foreign revision wrote) adds to the sidecar's count."""
-        store = TraceStore(disk_dir=tmp_path)
+        store = TraceCache(disk_dir=tmp_path)
         key = _capture_entry(store)
         path = _entry_file(store, key)
         envelope = self._envelope(path)
@@ -442,18 +439,16 @@ class TestHitsServed:
         path.write_bytes(pickle.dumps(envelope))
 
         assert store.manifest()[0]["hits_served"] == 5
-        reader = TraceStore(disk_dir=tmp_path)
+        reader = TraceCache(disk_dir=tmp_path)
         assert reader.get(key) is not None
         assert self._hits(path) == 6
         assert reader.manifest()[0]["hits_served"] == 6
 
     def test_recapture_resets_counter(self, tmp_path):
-        from repro.sim.trace_cache import sidecar_path
-
-        store = TraceStore(disk_dir=tmp_path)
+        store = TraceCache(disk_dir=tmp_path)
         key = _capture_entry(store)
         path = _entry_file(store, key)
-        assert TraceStore(disk_dir=tmp_path).get(key) is not None
+        assert TraceCache(disk_dir=tmp_path).get(key) is not None
         assert self._hits(path) == 1
         # A put (recapture) rewrites the payload and unlinks the
         # sidecar: new life, zero hits.
@@ -463,30 +458,58 @@ class TestHitsServed:
         assert self._hits(path) == 0
         assert not sidecar_path(path).exists()
 
-    def test_ingest_remote_counts_as_a_serve(self, tmp_path):
-        """Adopting a worker's disk-routed capture is a disk serve too."""
-        writer = TraceStore(disk_dir=tmp_path)
+    def test_ingest_remote_does_not_bump(self, tmp_path):
+        """Adopting a worker's disk-routed capture is a remote put, not a
+        serve: it counts in ``remote_puts`` only and leaves the
+        persisted counter alone."""
+        writer = TraceCache(disk_dir=tmp_path)
         key = _capture_entry(writer)
         path = _entry_file(writer, key)
-        reader = TraceStore(disk_dir=tmp_path)
+        reader = TraceCache(disk_dir=tmp_path)
         assert reader.ingest_remote(key) is not None
-        assert self._hits(path) == 1
+        assert reader.stats["remote_puts"] == 1
+        assert reader.stats["disk_hits"] == 0
+        assert self._hits(path) == 0
+        assert not sidecar_path(path).exists()
 
-    def test_plain_cache_never_bumps(self, tmp_path):
-        """Transient TraceCache readers (pool workers) leave it alone."""
-        store = TraceStore(disk_dir=tmp_path)
-        key = _capture_entry(store)
-        path = _entry_file(store, key)
-        assert TraceCache(disk_dir=tmp_path).get(key) is not None
+    def test_membership_does_not_bump(self, tmp_path):
+        """Membership is ``probe``: tags and checksum, no counter, and a
+        cache has no ``in`` operator that could decode or bump."""
+        writer = TraceCache(disk_dir=tmp_path)
+        key = _capture_entry(writer)
+        path = _entry_file(writer, key)
+        reader = TraceCache(disk_dir=tmp_path)
+        assert reader.probe(key)
+        with pytest.raises(TypeError):
+            key in reader
+        assert reader.stats["lookups"] == 0
         assert self._hits(path) == 0
 
+    def test_pool_worker_cache_bumps(self, tmp_path, monkeypatch):
+        """A pool worker's directory-backed cache follows the one rule
+        too: its disk-served get counts a disk hit and bumps."""
+        from repro.sim import parallel
+
+        store = TraceCache(disk_dir=tmp_path)
+        key = _capture_entry(store)
+        path = _entry_file(store, key)
+        monkeypatch.setattr(parallel, "_WORKER_CACHE", None)
+        monkeypatch.setattr(parallel, "_WORKER_FAULTS", None)
+        parallel._init_worker(str(tmp_path), store.capacity)
+        worker = parallel._WORKER_CACHE
+        assert worker.get(key) is not None
+        assert worker.stats["disk_hits"] == 1
+        assert self._hits(path) == 1
+        assert worker.get(key) is not None  # memory hit: no bump
+        assert self._hits(path) == 1
+
     def test_store_stats_totals_hits_served(self, tmp_path):
-        store = TraceStore(disk_dir=tmp_path)
+        store = TraceCache(disk_dir=tmp_path)
         key_a = _capture_entry(store, k=16)
         key_b = _capture_entry(store, k=32)
         for _ in range(2):
-            assert TraceStore(disk_dir=tmp_path).get(key_a) is not None
-        assert TraceStore(disk_dir=tmp_path).get(key_b) is not None
+            assert TraceCache(disk_dir=tmp_path).get(key_a) is not None
+        assert TraceCache(disk_dir=tmp_path).get(key_b) is not None
         stats = store.store_stats
         assert stats["hits_served"] == 3
         by_file = {row["file"]: row["hits_served"]
@@ -494,20 +517,18 @@ class TestHitsServed:
         assert sorted(by_file.values()) == [1, 2]
 
     def test_gc_still_validates_bumped_entries(self, tmp_path):
-        store = TraceStore(disk_dir=tmp_path)
+        store = TraceCache(disk_dir=tmp_path)
         key = _capture_entry(store)
-        assert TraceStore(disk_dir=tmp_path).get(key) is not None
+        assert TraceCache(disk_dir=tmp_path).get(key) is not None
         summary = store.gc()
         assert summary["purged_stale"] == 0
         assert summary["entries"] == 1
 
     def test_gc_reaps_orphaned_sidecars(self, tmp_path):
-        from repro.sim.trace_cache import sidecar_path
-
-        store = TraceStore(disk_dir=tmp_path)
+        store = TraceCache(disk_dir=tmp_path)
         key = _capture_entry(store)
         path = _entry_file(store, key)
-        assert TraceStore(disk_dir=tmp_path).get(key) is not None
+        assert TraceCache(disk_dir=tmp_path).get(key) is not None
         live_side = sidecar_path(path)
         assert live_side.exists()
         orphan = tmp_path / "trace_gone.pkl.hits"
@@ -519,13 +540,11 @@ class TestHitsServed:
         assert live_side.exists(), "a live entry keeps its sidecar"
 
     def test_eviction_takes_the_sidecar_along(self, tmp_path):
-        from repro.sim.trace_cache import sidecar_path
-
-        store = TraceStore(disk_dir=tmp_path)
+        store = TraceCache(disk_dir=tmp_path)
         key_a = _capture_entry(store, k=16)
         key_b = _capture_entry(store, k=32)
         path_a, path_b = (_entry_file(store, k) for k in (key_a, key_b))
-        assert TraceStore(disk_dir=tmp_path).get(key_a) is not None
+        assert TraceCache(disk_dir=tmp_path).get(key_a) is not None
         _set_age(path_a, 500)  # bumped, then aged: first out
 
         store.gc(max_bytes=path_b.stat().st_size)
@@ -538,16 +557,15 @@ class TestHitsServed:
 # ----------------------------------------------------------------------
 class TestWarmServeWriteCost:
     def test_warm_serve_writes_only_counter_bytes(self, tmp_path):
-        from repro.sim.trace_cache import sidecar_path
-
-        writer = TraceStore(disk_dir=tmp_path)
+        writer = TraceCache(disk_dir=tmp_path)
         key = _capture_entry(writer)
         path = _entry_file(writer, key)
         entry_bytes = path.read_bytes()
 
-        reader = TraceStore(disk_dir=tmp_path)
+        reader = TraceCache(disk_dir=tmp_path)
+        before = reader.serve_write_bytes
         assert reader.get(key) is not None  # warm disk hit
-        written = reader.last_serve_write_bytes
+        written = reader.serve_write_bytes - before
         assert written > 0
         assert written == sidecar_path(path).stat().st_size
         # The acceptance bound: a warm hit writes strictly fewer bytes
@@ -558,20 +576,18 @@ class TestWarmServeWriteCost:
             "a warm serve must not rewrite the envelope"
         assert reader.serve_write_bytes == written
 
-        assert TraceStore(disk_dir=tmp_path).get(key) is not None
+        assert TraceCache(disk_dir=tmp_path).get(key) is not None
         assert path.read_bytes() == entry_bytes
 
     def test_enospc_on_serve_demotes_to_memory_only(self, tmp_path):
         """The sidecar write classifies failures like put(): ENOSPC
         demotes the store (one warning), it is never silently swallowed."""
         from repro.sim.faults import FaultPlan
-        from repro.sim.trace_cache import sidecar_path
-
-        writer = TraceStore(disk_dir=tmp_path)
+        writer = TraceCache(disk_dir=tmp_path)
         key_a = _capture_entry(writer, k=16)
         key_b = _capture_entry(writer, k=32)
 
-        reader = TraceStore(disk_dir=tmp_path,
+        reader = TraceCache(disk_dir=tmp_path,
                             fault_plan=FaultPlan(seed=3, enospc_rate=1.0))
         with pytest.warns(RuntimeWarning, match="memory-only"):
             assert reader.get(key_a) is not None  # trace still served
@@ -588,9 +604,9 @@ class TestWarmServeWriteCost:
     def test_transient_io_error_on_serve_is_counted_not_fatal(self, tmp_path):
         from repro.sim.faults import FaultPlan
 
-        writer = TraceStore(disk_dir=tmp_path)
+        writer = TraceCache(disk_dir=tmp_path)
         key = _capture_entry(writer)
-        reader = TraceStore(disk_dir=tmp_path,
+        reader = TraceCache(disk_dir=tmp_path,
                             fault_plan=FaultPlan(seed=3, io_error_rate=1.0))
         assert reader.get(key) is not None  # serve survives the fault
         assert reader.serve_note_errors == 1

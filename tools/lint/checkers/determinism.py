@@ -10,10 +10,10 @@ run (RL103).
 
 Scope: ``functional/`` and ``timing/`` (everything they compute lands
 in a trace or a rendered table), ``isa/`` (program fingerprints), and
-the capture/replay path of ``sim/`` (``simulator``, ``trace_cache``,
-``trace_store``).  Orchestration (``sim/parallel.py``) is *not* in
-scope: its ``time.perf_counter`` feeds ``PipelineStats`` telemetry,
-never a render.  The injected-clock default in ``trace_cache._now``
+the capture/replay path of ``sim/`` (``simulator``, ``trace_cache``).
+Orchestration (``sim/parallel.py``) is *not* in scope: its
+``time.perf_counter`` feeds ``PipelineStats`` telemetry, never a
+render.  The injected-clock default in ``trace_cache._now``
 carries the one sanctioned pragma.
 """
 
@@ -41,8 +41,7 @@ class DeterminismChecker(Checker):
     scope = ("src/repro/functional/", "src/repro/timing/",
              "src/repro/isa/", "src/repro/fuzz/",
              "src/repro/sim/simulator.py",
-             "src/repro/sim/trace_cache.py",
-             "src/repro/sim/trace_store.py")
+             "src/repro/sim/trace_cache.py")
 
     def check(self, ctx: FileContext):
         for node in ast.walk(ctx.tree):
