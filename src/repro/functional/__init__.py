@@ -2,15 +2,15 @@
 
 This package is the "QuestaSim functional" half of the reproduction: it
 executes programs element-exactly over NumPy-backed architectural state and
-produces a dynamic trace that the timing engine (:mod:`repro.timing`)
+produces a columnar dynamic trace that the timing engine (:mod:`repro.timing`)
 replays to obtain cycle counts.
 """
 
 from .state import ArchState, VectorRegFile
 from .memory import FunctionalMemory
 from .executor import Executor, ExecResult
-from .trace import (DynamicTrace, ScalarEvent, VectorEvent, VsetvlEvent,
-                    MemAccess)
+from .trace import ScalarEvent, VectorEvent, VsetvlEvent, MemAccess
+from .trace_pack import ColumnTrace
 
 __all__ = [
     "ArchState",
@@ -18,7 +18,7 @@ __all__ = [
     "FunctionalMemory",
     "Executor",
     "ExecResult",
-    "DynamicTrace",
+    "ColumnTrace",
     "ScalarEvent",
     "VectorEvent",
     "VsetvlEvent",

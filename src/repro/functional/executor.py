@@ -1,4 +1,4 @@
-"""Functional interpreter: runs a program to completion, emitting a trace.
+"""Functional interpreter: runs a program to completion, writing a trace.
 
 The executor walks the instruction list with a program counter, delegating
 scalar semantics to :class:`~repro.functional.scalar.ScalarUnit` and vector
@@ -10,7 +10,10 @@ The hot loop runs over the program's pre-decoded
 :class:`~repro.functional.plan.InstrPlan` tuple (built once per program,
 cached on the program object): dispatch is an integer tag compare, branch
 targets are pre-resolved instruction indices, and scalar handlers are
-pre-bound callables — no per-retirement string or dict lookups.
+pre-bound callables — no per-retirement string or dict lookups.  Each
+retired instruction goes straight into the trace's columns through a
+:class:`~repro.functional.trace_pack.TraceWriter`, with the program
+counter as the vector rows' instruction index.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .memory import FunctionalMemory
 from .plan import K_HALT, K_SCALAR, K_VECTOR, K_VSETVLI, plans_for
 from .scalar import ScalarUnit
 from .state import ArchState
-from .trace import DynamicTrace, VsetvlEvent
+from .trace_pack import ColumnTrace, TraceWriter
 from .vector import VectorUnit
 
 #: Hard cap on retired instructions so a buggy kernel cannot hang a test
@@ -37,7 +40,7 @@ class ExecResult:
     """Outcome of a functional run."""
 
     state: ArchState
-    trace: DynamicTrace
+    trace: ColumnTrace
     retired: int
     program: Program
     halted: bool = True
@@ -62,9 +65,9 @@ class Executor:
     def run(self, program: Program,
             max_instructions: int = DEFAULT_MAX_INSTRUCTIONS) -> ExecResult:
         """Execute until ``halt`` or the end of the program."""
-        state = self.state
-        trace = DynamicTrace()
-        events = trace.events
+        writer = TraceWriter(program)
+        write_scalar = writer.scalar
+        write_vector = writer.vector
         plans = plans_for(program)
         scalar_unit = self._scalar
         vector_exec = self._vector.execute_plan
@@ -81,30 +84,29 @@ class Executor:
             kind = p.kind
             if kind == K_VECTOR:
                 retired += 1
-                event = vector_exec(p)
-                events.append(event)
-                trace.vector_count += 1
-                trace.total_flops += p.flops * event.vl
+                write_vector(pc, *vector_exec(p))
                 pc += 1
             elif kind == K_SCALAR:
                 retired += 1
                 taken, event = p.scalar_fn(scalar_unit, p)
-                events.append(event)
-                trace.scalar_count += 1
+                write_scalar(event)
                 pc = p.target_idx if taken else pc + 1
             elif kind == K_VSETVLI:
                 retired += 1
-                self._vsetvli(p, trace)
+                writer.vsetvl(*self._vsetvli(p))
                 pc += 1
             elif kind == K_HALT:
                 retired += 1
-                return ExecResult(state, trace, retired, program, halted=True)
+                return ExecResult(self.state, writer.finish(), retired,
+                                  program, halted=True)
             else:  # pragma: no cover - labels aren't emitted
                 pc += 1
-        return ExecResult(state, trace, retired, program, halted=False)
+        return ExecResult(self.state, writer.finish(), retired, program,
+                          halted=False)
 
     # ------------------------------------------------------------------
-    def _vsetvli(self, p, trace: DynamicTrace) -> None:
+    def _vsetvli(self, p) -> tuple[int, int, int]:
+        """Apply a ``vsetvli``; returns the new ``(vl, sew, lmul)``."""
         state = self.state
         vtype, sew_i, lmul_i = p.aux
         vlmax = state.vlen_bits * lmul_i // sew_i
@@ -117,4 +119,4 @@ class Executor:
         state.vtype = vtype
         state.vl = new_vl
         state.x.write(p.rd, new_vl)
-        trace.add_vsetvl(VsetvlEvent(vl=new_vl, sew=sew_i, lmul=lmul_i))
+        return new_vl, sew_i, lmul_i

@@ -1,45 +1,36 @@
-"""Columnar (struct-of-arrays) trace packing: the v6 envelope payload.
+"""Columnar (struct-of-arrays) traces: the one trace form and its blob.
 
-A captured :class:`~repro.functional.trace.DynamicTrace` is a list of
-small Python objects — perfect for capture, terrible for a disk tier:
-pickling builds (and unpickling rebuilds) one heap object per retired
-instruction, which dominates warm-path latency once traces reach 10^5
-events.  This module flattens the event stream into per-kind numpy
-columns ("struct of arrays"):
+A capture retires 10^3-10^5 instructions.  Instead of one Python object
+per retired instruction, the interpreter appends each one straight into
+per-kind column lists through a :class:`TraceWriter`, and the finished
+trace is a :class:`ColumnTrace` of numpy columns ("struct of arrays"):
 
 * a ``tags`` byte per event (scalar / vsetvl / vector / fallback) keeps
-  the original interleaving, so the stream order — which the timing
-  engine replays sequentially — survives exactly;
+  the original interleaving, so the stream order -- which the timing
+  engine replays sequentially -- survives exactly;
 * per-kind columns (opcode ids, operand program indices, ``vl`` /
   ``sew`` / ``lmul``, memory base/stride/count, element widths) hold the
-  payload as raw little-endian array bytes;
-* a small pickled header maps each column name to its ``(dtype, offset,
-  count)`` slice of the blob, so readers materialize views with
-  :func:`numpy.frombuffer` — zero-copy over the envelope's decompressed
-  payload bytes;
-* the rare event that does not flatten (an unknown subclass, an
-  out-of-range field, an instruction that is not part of the program)
-  is pickled whole into a ``fallback`` map keyed by event index; its
-  tag marks the position, so mixed traces round-trip losslessly.
+  payload;
+* the rare event that does not fit a column (an out-of-range field such
+  as a 64-bit unsigned base address, a foreign event class, an
+  instruction that is not part of the program) is kept whole in a
+  ``fallback`` map keyed by event index; its tag marks the position.
 
 Vector events reference their :class:`~repro.isa.instructions
-.Instruction` by *index into the program's instruction tuple* — the
-program ships alongside the blob in the envelope payload, so unpacking
-re-links events to the very instruction objects the replay decode
-caches key on.
+.Instruction` by *index into the program's instruction tuple* -- during
+capture that is simply the program counter.
 
-:class:`PackedTrace` is the lazy reader: aggregate counters and column
-views are available without materializing a single event object, and
-:meth:`PackedTrace.events` rebuilds the plain event list on first use
-for consumers that genuinely need objects (``iter()``, golden checks,
-the reference replay).
-
-The timing engine's replay-plan compiler (:mod:`repro.timing
-.replay_plan`) reads columns only: a :class:`PackedTrace` hands over its
-own column views (no event object is ever built), and an object-form
-:class:`~repro.functional.trace.DynamicTrace` is first reduced by
-:func:`trace_columns` — the same column pass :func:`pack_trace` runs
-before it assembles the blob.
+:func:`pack_trace` turns the columns into the v6 envelope payload: raw
+little-endian array bytes behind a small pickled header (the fallback
+map is pickled into it), which :func:`unpack_trace` wraps again as a
+:class:`ColumnTrace` of :func:`numpy.frombuffer` views -- zero-copy over
+the envelope's decompressed payload bytes.  The replay-plan compiler
+(:mod:`repro.timing.replay_plan`) reads the columns directly; event
+objects (:mod:`repro.functional.trace`) are built lazily, on first use
+of :attr:`ColumnTrace.events`, only for consumers that genuinely need
+them (the reference replay, tests, the fuzz properties).  Hand-built event
+lists become a trace through :meth:`ColumnTrace.from_events`, which
+feeds the same writer.
 """
 
 from __future__ import annotations
@@ -52,10 +43,9 @@ import numpy as np
 
 from ..isa.instructions import MemPattern
 from ..isa.program import Program
-from .trace import (DynamicTrace, MemAccess, ScalarEvent, VectorEvent,
-                    VsetvlEvent)
+from .trace import MemAccess, ScalarEvent, VectorEvent, VsetvlEvent
 
-__all__ = ["PACK_VERSION", "PackedTrace", "pack_trace", "trace_columns",
+__all__ = ["PACK_VERSION", "ColumnTrace", "TraceWriter", "pack_trace",
            "unpack_trace"]
 
 #: Version of the column layout inside the blob (independent of the
@@ -111,12 +101,8 @@ _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
 
 
-def _i64(value) -> bool:
-    return isinstance(value, int) and _I64_MIN <= value <= _I64_MAX
-
-
-def _u8(value) -> bool:
-    return isinstance(value, int) and 0 <= value <= 255
+def _ints(*values) -> bool:
+    return all(isinstance(value, int) for value in values)
 
 
 def _align8(offset: int) -> int:
@@ -153,138 +139,295 @@ def _delta_decode(arr: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
+# Writing
+# ----------------------------------------------------------------------
+class TraceWriter:
+    """Column builders for one trace, plus its aggregate counters.
+
+    The interpreter drives it once per retired instruction
+    (:meth:`scalar`, :meth:`vsetvl`, :meth:`vector`) with Python ints,
+    the only values its state holds (:meth:`ColumnTrace.from_events`
+    checks the types of hand-built events first).  The writer checks
+    the ranges: an event whose fields do not fit the column schema --
+    such as a 64-bit unsigned base address -- is kept whole in the
+    fallback map instead.  :meth:`finish` hands the columns over as a
+    :class:`ColumnTrace`.
+    """
+
+    __slots__ = tuple(name for name, _, _, _ in _COLUMNS) + (
+        "program", "kinds", "fallback", "scalar_count", "vector_count",
+        "total_flops", "_kind_code", "_flops")
+
+    def __init__(self, program: Program) -> None:
+        for name, _, _, _ in _COLUMNS:
+            setattr(self, name, [])
+        self.program = program
+        self.kinds: list[str] = []
+        self.fallback: dict[int, object] = {}
+        self.scalar_count = 0
+        self.vector_count = 0
+        self.total_flops = 0.0
+        self._kind_code: dict[str, int] = {}
+        self._flops = [instr.spec.flops for instr in program.instructions]
+
+    def _fall_back(self, event) -> None:
+        self.fallback[len(self.tags)] = event
+        self.tags.append(TAG_FALLBACK)
+
+    def scalar(self, event: ScalarEvent) -> None:
+        """Append a retired scalar instruction."""
+        self.scalar_count += 1
+        kind, addr, nbytes = event.kind, event.addr, event.nbytes
+        if not (_I64_MIN <= nbytes <= _I64_MAX
+                and (addr is None or 0 <= addr <= _I64_MAX)):
+            self._fall_back(event)
+            return
+        code = self._kind_code.get(kind)
+        if code is None:
+            code = self._kind_code[kind] = len(self.kinds)
+            if code > 0xFFFF:
+                raise ValueError("scalar kind vocabulary overflow")
+            self.kinds.append(kind)
+        self.tags.append(TAG_SCALAR)
+        self.s_kind.append(code)
+        self.s_addr.append(-1 if addr is None else addr)
+        self.s_nbytes.append(nbytes)
+
+    def vsetvl(self, vl: int, sew: int, lmul: int) -> None:
+        """Append a retired ``vsetvli``."""
+        self.scalar_count += 1
+        if not (_I64_MIN <= vl <= _I64_MAX and 0 <= sew <= 255
+                and 0 <= lmul <= 255):
+            self._fall_back(VsetvlEvent(vl, sew, lmul))
+            return
+        self.tags.append(TAG_VSETVL)
+        self.w_vl.append(vl)
+        self.w_sew.append(sew)
+        self.w_lmul.append(lmul)
+
+    def vector(self, index: int, vl: int, sew: int, lmul: int, mem,
+               slide: int) -> None:
+        """Append a retired vector instruction: ``program.instructions
+        [index]`` at ``vl``/``sew``/``lmul``; ``mem`` is ``None`` or the
+        :class:`~repro.functional.trace.MemAccess` fields as a tuple."""
+        self.vector_count += 1
+        self.total_flops += self._flops[index] * vl
+        flat = (_I64_MIN <= vl <= _I64_MAX and 0 <= sew <= 255
+                and 0 <= lmul <= 255 and _I64_MIN <= slide <= _I64_MAX)
+        if flat and mem is not None:
+            base, stride, count, ew_bytes, pattern, is_store = mem
+            flat = (_I64_MIN <= base <= _I64_MAX
+                    and _I64_MIN <= stride <= _I64_MAX
+                    and _I64_MIN <= count <= _I64_MAX
+                    and 0 <= ew_bytes <= 255 and pattern in PATTERN_CODE)
+        if not flat:
+            self._fall_back(VectorEvent(
+                self.program.instructions[index], vl, sew, lmul,
+                None if mem is None else MemAccess(*mem), slide))
+            return
+        self.tags.append(TAG_VECTOR)
+        self.v_instr.append(index)
+        self.v_vl.append(vl)
+        self.v_sew.append(sew)
+        self.v_lmul.append(lmul)
+        self.v_slide.append(slide)
+        if mem is None:
+            self.v_flags.append(0)
+            self.m_base.append(0)
+            self.m_stride.append(0)
+            self.m_count.append(0)
+            self.m_ew.append(0)
+            self.m_pattern.append(0)
+        else:
+            self.v_flags.append(3 if is_store else 1)
+            self.m_base.append(base)
+            self.m_stride.append(stride)
+            self.m_count.append(count)
+            self.m_ew.append(ew_bytes)
+            self.m_pattern.append(PATTERN_CODE[pattern])
+
+    def other(self, event) -> None:
+        """Append an event object that is kept whole (fallback)."""
+        ecls = event.__class__
+        if ecls is VectorEvent:
+            self.vector_count += 1
+            # Not ``event.flops``: that cached property would grow the
+            # event's pickled state.
+            self.total_flops += event.instr.spec.flops * event.vl
+        elif ecls is ScalarEvent or ecls is VsetvlEvent:
+            self.scalar_count += 1
+        self._fall_back(event)
+
+    def finish(self) -> "ColumnTrace":
+        """The written trace (the writer must not be used afterwards)."""
+        columns = {}
+        for name, dtype, _, _ in _COLUMNS:
+            values = getattr(self, name)
+            columns[name] = np.fromiter(values, dtype=dtype,
+                                        count=len(values))
+        fallback = (pickle.dumps(self.fallback,
+                                 protocol=pickle.HIGHEST_PROTOCOL)
+                    if self.fallback else b"")
+        return ColumnTrace(self.program, columns, tuple(self.kinds),
+                           fallback, self.scalar_count, self.vector_count,
+                           self.total_flops)
+
+
+# ----------------------------------------------------------------------
+# The trace
+# ----------------------------------------------------------------------
+class ColumnTrace:
+    """A dynamic trace as v6 columns plus its aggregate counters.
+
+    ``columns`` maps every :data:`_COLUMNS` name to a plain (not
+    delta-coded) array, ``kinds`` is the scalar-kind vocabulary the
+    ``s_kind`` column indexes, and ``fallback_bytes`` the pickled
+    ``{event index: event}`` map of events kept whole (``b""`` when
+    there are none; pickled once, so what the events view or a replay
+    caches on those objects never leaks back into the trace).  ``blob``
+    is the packed form when the trace came from one (so re-packing is
+    free), else ``None``.
+    ``_plan`` caches the timing engine's compiled replay plan (see
+    :mod:`repro.timing.replay_plan`) across the many machine models one
+    capture is replayed against; ``_events`` caches :attr:`events`.
+    Neither is pickled: a trace pickles as its blob.  A trace is never
+    mutated after it is written.
+    """
+
+    __slots__ = ("program", "columns", "kinds", "fallback_bytes",
+                 "scalar_count", "vector_count", "total_flops", "blob",
+                 "_events", "_plan")
+
+    def __init__(self, program: Program, columns: dict, kinds: tuple,
+                 fallback_bytes: bytes, scalar_count: int,
+                 vector_count: int, total_flops: float,
+                 blob: bytes | None = None) -> None:
+        self.program = program
+        self.columns = columns
+        self.kinds = kinds
+        self.fallback_bytes = fallback_bytes
+        self.scalar_count = scalar_count
+        self.vector_count = vector_count
+        self.total_flops = total_flops
+        self.blob = blob
+        self._events = None
+        self._plan = None
+
+    @classmethod
+    def from_events(cls, events, program: Program) -> "ColumnTrace":
+        """Write a hand-built event stream against ``program``.
+
+        An event is kept whole when a field the columns hold is not an
+        int (or a scalar kind not a string), when a vector event's
+        instruction is not (by identity) one of the program's or its
+        ``mem`` is not a plain ``MemAccess``, and when its class is
+        foreign.
+        """
+        writer = TraceWriter(program)
+        index = {id(instr): i for i, instr in enumerate(program.instructions)}
+        for event in events:
+            ecls = event.__class__
+            if ecls is ScalarEvent:
+                if isinstance(event.kind, str) and _ints(event.nbytes) \
+                        and (event.addr is None or _ints(event.addr)):
+                    writer.scalar(event)
+                    continue
+            elif ecls is VsetvlEvent:
+                if _ints(event.vl, event.sew, event.lmul):
+                    writer.vsetvl(event.vl, event.sew, event.lmul)
+                    continue
+            elif ecls is VectorEvent:
+                mem = event.mem
+                if ((mem is None or (type(mem) is MemAccess
+                                     and _ints(mem.base, mem.stride,
+                                               mem.count, mem.ew_bytes)))
+                        and id(event.instr) in index
+                        and _ints(event.vl, event.sew, event.lmul,
+                                  event.slide_amount)):
+                    if mem is not None:
+                        mem = (mem.base, mem.stride, mem.count,
+                               mem.ew_bytes, mem.pattern, mem.is_store)
+                    writer.vector(index[id(event.instr)], event.vl,
+                                  event.sew, event.lmul, mem,
+                                  event.slide_amount)
+                    continue
+            writer.other(event)
+        return writer.finish()
+
+    def __reduce__(self):
+        return unpack_trace, (pack_trace(self, self.program), self.program)
+
+    def __len__(self) -> int:
+        return len(self.columns["tags"])
+
+    def __iter__(self) -> Iterator:
+        return iter(self.events)
+
+    def fallback_events(self) -> dict:
+        """The ``{event index: event}`` map of events kept whole,
+        unpickled afresh on every call."""
+        if not self.fallback_bytes:
+            return {}
+        return pickle.loads(self.fallback_bytes)
+
+    @property
+    def events(self) -> list:
+        """Event objects in stream order (built on first access, cached)."""
+        events = self._events
+        if events is None:
+            events = self._events = _build_events(self)
+        return events
+
+
+def _build_events(trace: ColumnTrace) -> list:
+    cols = {name: arr.tolist() for name, arr in trace.columns.items()}
+    kinds = trace.kinds
+    instructions = trace.program.instructions
+    fallback = trace.fallback_events()
+    scalars = zip(cols["s_kind"], cols["s_addr"], cols["s_nbytes"])
+    vsetvls = zip(cols["w_vl"], cols["w_sew"], cols["w_lmul"])
+    vectors = zip(*(cols[name] for name, _, group, _ in _COLUMNS
+                    if group == "v"))
+    events: list = []
+    append = events.append
+    for index, tag in enumerate(cols["tags"]):
+        if tag == TAG_SCALAR:
+            kind, addr, nbytes = next(scalars)
+            append(ScalarEvent(kinds[kind], None if addr < 0 else addr,
+                               nbytes))
+        elif tag == TAG_VSETVL:
+            append(VsetvlEvent(*next(vsetvls)))
+        elif tag == TAG_VECTOR:
+            (instr, vl, sew, lmul, slide, flags, base, stride, count, ew,
+             pattern) = next(vectors)
+            mem = None
+            if flags & 1:
+                mem = MemAccess(base, stride, count, ew, PATTERNS[pattern],
+                                bool(flags & 2))
+            append(VectorEvent(instructions[instr], vl, sew, lmul, mem,
+                               slide))
+        else:
+            append(fallback[index])
+    return events
+
+
+# ----------------------------------------------------------------------
 # Packing
 # ----------------------------------------------------------------------
-def trace_columns(trace, program: Program | None = None) -> tuple:
-    """Column pass: reduce an event stream to the v6 columns.
+def pack_trace(trace: ColumnTrace, program: Program) -> bytes:
+    """The v6 blob of ``trace``: columns behind a pickled header.
 
-    Returns ``(columns, kinds, fallback, instructions)``: a
-    ``{name: ndarray}`` map over the :data:`_COLUMNS` schema (plain
-    values, not delta-coded), the scalar-kind vocabulary, the
-    ``{event index: event}`` map of events that do not fit a column
-    (tagged :data:`TAG_FALLBACK`), and the instruction table the
-    ``v_instr`` column indexes.  With a ``program`` the table is
-    ``program.instructions`` and an instruction outside it takes the
-    fallback path; without one the table is built from the trace in
-    first-appearance order.
+    Vector rows index ``program``'s instruction tuple, so it must be
+    the program the trace was written against.  A trace unpacked from a
+    blob returns that blob unchanged.  The result round-trips through
+    :func:`unpack_trace` to a trace with identical columns, counters
+    and events.
     """
-    if program is None:
-        table: list = []
-        instr_index: dict[int, int] = {}
-    else:
-        table = program.instructions
-        instr_index = {id(instr): i for i, instr in enumerate(table)}
-    tags: list[int] = []
-    s_kind: list[int] = []
-    s_addr: list[int] = []
-    s_nbytes: list[int] = []
-    w_vl: list[int] = []
-    w_sew: list[int] = []
-    w_lmul: list[int] = []
-    v_instr: list[int] = []
-    v_vl: list[int] = []
-    v_sew: list[int] = []
-    v_lmul: list[int] = []
-    v_slide: list[int] = []
-    v_flags: list[int] = []
-    m_base: list[int] = []
-    m_stride: list[int] = []
-    m_count: list[int] = []
-    m_ew: list[int] = []
-    m_pattern: list[int] = []
-    kinds: list[str] = []
-    kind_code: dict[str, int] = {}
-    fallback: dict[int, object] = {}
-
-    for index, event in enumerate(trace):
-        cls = event.__class__
-        if cls is ScalarEvent:
-            kind, addr, nbytes = event.kind, event.addr, event.nbytes
-            if (isinstance(kind, str) and _i64(nbytes)
-                    and (addr is None
-                         or (isinstance(addr, int)
-                             and 0 <= addr <= _I64_MAX))):
-                code = kind_code.get(kind)
-                if code is None:
-                    code = kind_code[kind] = len(kinds)
-                    kinds.append(kind)
-                    if code > 0xFFFF:
-                        raise ValueError("scalar kind vocabulary overflow")
-                tags.append(TAG_SCALAR)
-                s_kind.append(code)
-                s_addr.append(-1 if addr is None else addr)
-                s_nbytes.append(nbytes)
-                continue
-        elif cls is VsetvlEvent:
-            if _i64(event.vl) and _u8(event.sew) and _u8(event.lmul):
-                tags.append(TAG_VSETVL)
-                w_vl.append(event.vl)
-                w_sew.append(event.sew)
-                w_lmul.append(event.lmul)
-                continue
-        elif cls is VectorEvent:
-            instr = event.instr
-            iidx = instr_index.get(id(instr))
-            if iidx is None and program is None:
-                iidx = instr_index[id(instr)] = len(table)
-                table.append(instr)
-            mem = event.mem
-            flat = (iidx is not None and iidx <= 0x7FFFFFFF
-                    and _i64(event.vl) and _u8(event.sew)
-                    and _u8(event.lmul) and _i64(event.slide_amount))
-            if flat and mem is not None:
-                flat = (type(mem) is MemAccess and _i64(mem.base)
-                        and _i64(mem.stride) and _i64(mem.count)
-                        and _u8(mem.ew_bytes)
-                        and mem.pattern in PATTERN_CODE)
-            if flat:
-                tags.append(TAG_VECTOR)
-                v_instr.append(iidx)
-                v_vl.append(event.vl)
-                v_sew.append(event.sew)
-                v_lmul.append(event.lmul)
-                v_slide.append(event.slide_amount)
-                if mem is None:
-                    v_flags.append(0)
-                    m_base.append(0)
-                    m_stride.append(0)
-                    m_count.append(0)
-                    m_ew.append(0)
-                    m_pattern.append(0)
-                else:
-                    v_flags.append(1 | (2 if mem.is_store else 0))
-                    m_base.append(mem.base)
-                    m_stride.append(mem.stride)
-                    m_count.append(mem.count)
-                    m_ew.append(mem.ew_bytes)
-                    m_pattern.append(PATTERN_CODE[mem.pattern])
-                continue
-        tags.append(TAG_FALLBACK)
-        fallback[index] = event
-
-    values = {"tags": tags, "s_kind": s_kind, "s_addr": s_addr,
-              "s_nbytes": s_nbytes, "w_vl": w_vl, "w_sew": w_sew,
-              "w_lmul": w_lmul, "v_instr": v_instr, "v_vl": v_vl,
-              "v_sew": v_sew, "v_lmul": v_lmul, "v_slide": v_slide,
-              "v_flags": v_flags, "m_base": m_base, "m_stride": m_stride,
-              "m_count": m_count, "m_ew": m_ew, "m_pattern": m_pattern}
-    columns = {name: np.asarray(values[name], dtype=dtype)
-               for name, dtype, _, _ in _COLUMNS}
-    return columns, tuple(kinds), fallback, tuple(table)
-
-
-def pack_trace(trace, program: Program) -> bytes:
-    """Flatten ``trace`` into a self-describing columnar blob.
-
-    Every event that fits the column schema is encoded as array rows;
-    anything else (foreign event classes, out-of-range fields,
-    instructions absent from ``program``) is pickled whole into the
-    fallback map.  The result round-trips through
-    :func:`unpack_trace` to an event stream with identical contents.
-    """
-    cols, kinds, fallback, _ = trace_columns(trace, program)
-
-    # -- assemble the blob --------------------------------------------
+    if program is not trace.program:
+        raise ValueError("the trace indexes a different program")
+    if trace.blob is not None:
+        return bytes(trace.blob)
+    cols = trace.columns
     counts = {"t": len(cols["tags"]), "s": len(cols["s_kind"]),
               "w": len(cols["w_vl"]), "v": len(cols["v_instr"])}
     table, _ = _layout(counts)
@@ -294,10 +437,8 @@ def pack_trace(trace, program: Program) -> bytes:
         "scalar_count": trace.scalar_count,
         "vector_count": trace.vector_count,
         "total_flops": trace.total_flops,
-        "kinds": kinds,
-        "fallback": (pickle.dumps(fallback,
-                                  protocol=pickle.HIGHEST_PROTOCOL)
-                     if fallback else b""),
+        "kinds": trace.kinds,
+        "fallback": trace.fallback_bytes,
     }
     header_bytes = pickle.dumps(header, protocol=pickle.HIGHEST_PROTOCOL)
     region = _align8(len(MAGIC) + 4 + len(header_bytes))
@@ -320,19 +461,13 @@ def pack_trace(trace, program: Program) -> bytes:
 # ----------------------------------------------------------------------
 # Unpacking
 # ----------------------------------------------------------------------
-def unpack_trace(blob: bytes, program: Program) -> "PackedTrace":
-    """Wrap a packed blob as a lazy :class:`PackedTrace`.
+def unpack_trace(blob: bytes, program: Program) -> ColumnTrace:
+    """Wrap a packed blob as a :class:`ColumnTrace` of column views.
 
-    Validates the magic, layout version, and column table; raises
-    ``ValueError`` for anything that is not a well-formed v6 blob (the
-    disk tier treats that as a corrupt entry and purges it).
+    Validates the magic, layout version, column table and tag column;
+    raises ``ValueError`` for anything that is not a well-formed v6
+    blob (the disk tier treats that as a corrupt entry and purges it).
     """
-    packed = PackedTrace.__new__(PackedTrace)
-    _parse_into(packed, blob, program)
-    return packed
-
-
-def _parse_into(packed: "PackedTrace", blob, program: Program) -> None:
     if bytes(blob[:4]) != MAGIC:
         raise ValueError("not a packed-trace blob (bad magic)")
     (header_len,) = struct.unpack_from("<I", blob, 4)
@@ -358,130 +493,13 @@ def _parse_into(packed: "PackedTrace", blob, program: Program) -> None:
         if delta and count > 1:
             arr = _delta_decode(arr)
         columns[name] = arr
-    packed.blob = blob
-    packed.program = program
-    packed.n_events = counts["t"]
-    packed.scalar_count = int(header["scalar_count"])
-    packed.vector_count = int(header["vector_count"])
-    packed.total_flops = header["total_flops"]
-    packed.kinds = header["kinds"]
-    packed.columns = columns
-    packed.fallback_bytes = header["fallback"]
-    packed._events = None
-    packed._plan = None
-
-
-class PackedTrace:
-    """Lazy columnar view of a packed trace.
-
-    Quacks like :class:`~repro.functional.trace.DynamicTrace` for the
-    consumers that matter (aggregate counters, ``len``, iteration,
-    ``vector_events``) while keeping the payload as flat numpy column
-    views over the blob bytes until someone genuinely needs event
-    objects.  ``_plan`` caches the timing engine's compiled replay plan
-    exactly like ``DynamicTrace._plan`` does.
-    """
-
-    __slots__ = ("blob", "program", "n_events", "scalar_count",
-                 "vector_count", "total_flops", "kinds", "columns",
-                 "fallback_bytes", "_events", "_plan")
-
-    def __init__(self, blob: bytes, program: Program) -> None:
-        _parse_into(self, blob, program)
-
-    # -- pickling: ship the blob, re-derive the views ------------------
-    def __getstate__(self):
-        return (bytes(self.blob), self.program)
-
-    def __setstate__(self, state):
-        blob, program = state
-        _parse_into(self, blob, program)
-
-    # -- DynamicTrace-compatible surface -------------------------------
-    def __len__(self) -> int:
-        return self.n_events
-
-    def __iter__(self) -> Iterator:
-        return iter(self.events)
-
-    def vector_events(self) -> Iterator[VectorEvent]:
-        return (e for e in self.events if isinstance(e, VectorEvent))
-
-    @property
-    def events(self) -> list:
-        """Materialized event objects (built on first access, cached)."""
-        events = self._events
-        if events is None:
-            events = self._events = _build_events(self)
-        return events
-
-    def fallback_events(self) -> dict:
-        """The ``{event index: event}`` map of events that did not fit
-        a column, unpickled afresh on every call."""
-        if not self.fallback_bytes:
-            return {}
-        return pickle.loads(self.fallback_bytes)
-
-    @property
-    def nbytes(self) -> int:
-        """Size of the packed blob in bytes."""
-        return len(self.blob)
-
-    def to_trace(self) -> DynamicTrace:
-        """Rebuild a plain :class:`DynamicTrace` with equal contents."""
-        return DynamicTrace(events=list(self.events),
-                            scalar_count=self.scalar_count,
-                            vector_count=self.vector_count,
-                            total_flops=self.total_flops)
-
-
-def _build_events(packed: PackedTrace) -> list:
-    cols = packed.columns
-    kinds = packed.kinds
-    instructions = packed.program.instructions
-    fallback = packed.fallback_events()
-    tags = cols["tags"].tolist()
-    s_kind = cols["s_kind"].tolist()
-    s_addr = cols["s_addr"].tolist()
-    s_nbytes = cols["s_nbytes"].tolist()
-    w_vl = cols["w_vl"].tolist()
-    w_sew = cols["w_sew"].tolist()
-    w_lmul = cols["w_lmul"].tolist()
-    v_instr = cols["v_instr"].tolist()
-    v_vl = cols["v_vl"].tolist()
-    v_sew = cols["v_sew"].tolist()
-    v_lmul = cols["v_lmul"].tolist()
-    v_slide = cols["v_slide"].tolist()
-    v_flags = cols["v_flags"].tolist()
-    m_base = cols["m_base"].tolist()
-    m_stride = cols["m_stride"].tolist()
-    m_count = cols["m_count"].tolist()
-    m_ew = cols["m_ew"].tolist()
-    m_pattern = cols["m_pattern"].tolist()
-
-    events: list = []
-    append = events.append
-    si = wi = vi = 0
-    for index, tag in enumerate(tags):
-        if tag == TAG_SCALAR:
-            addr = s_addr[si]
-            append(ScalarEvent(kinds[s_kind[si]],
-                               None if addr < 0 else addr, s_nbytes[si]))
-            si += 1
-        elif tag == TAG_VSETVL:
-            append(VsetvlEvent(w_vl[wi], w_sew[wi], w_lmul[wi]))
-            wi += 1
-        elif tag == TAG_VECTOR:
-            flags = v_flags[vi]
-            mem = None
-            if flags & 1:
-                mem = MemAccess(base=m_base[vi], stride=m_stride[vi],
-                                count=m_count[vi], ew_bytes=m_ew[vi],
-                                pattern=PATTERNS[m_pattern[vi]],
-                                is_store=bool(flags & 2))
-            append(VectorEvent(instructions[v_instr[vi]], v_vl[vi],
-                               v_sew[vi], v_lmul[vi], mem, v_slide[vi]))
-            vi += 1
-        else:
-            append(fallback[index])
-    return events
+    tally = np.bincount(columns["tags"], minlength=TAG_FALLBACK + 1)
+    if (tally.size > TAG_FALLBACK + 1
+            or tuple(tally[:TAG_FALLBACK].tolist())
+            != (counts["s"], counts["w"], counts["v"])):
+        raise ValueError("packed-trace tag column disagrees with the "
+                         "header counts")
+    return ColumnTrace(program, columns, header["kinds"], header["fallback"],
+                       int(header["scalar_count"]),
+                       int(header["vector_count"]), header["total_flops"],
+                       blob)

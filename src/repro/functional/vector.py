@@ -2,8 +2,9 @@
 
 Fetches operands from the VRF, applies the pure semantics from
 :mod:`repro.functional.vector_ops`, handles masking (mask-undisturbed) and
-tail policy (tail-undisturbed, legal under agnosticism), and emits one
-:class:`~repro.functional.trace.VectorEvent` per retired instruction.
+tail policy (tail-undisturbed, legal under agnosticism), and reports each
+retired instruction's dynamic configuration — ``vl``/SEW/LMUL, memory
+access shape, slide amount — for the trace writer.
 
 Hot-path notes (this module runs once per retired vector instruction):
 
@@ -33,6 +34,8 @@ from .vector_ops import mask as maskops, mem as memops, permute
 
 
 #: Handler return value for instructions with no memory access / slide.
+#: Memory handlers return ``((base, stride, count, ew_bytes, pattern,
+#: is_store), 0)``: the MemAccess fields, without building one.
 _NO_EXTRA = (None, 0)
 
 _UNIT_DTYPES = {1: np.dtype("u1"), 2: np.dtype("u2"),
@@ -88,19 +91,24 @@ class VectorUnit:
     # Entry points
     # ------------------------------------------------------------------
     def execute(self, instr: Instruction) -> VectorEvent:
-        """Decode-on-the-fly single-instruction path (tests, tools)."""
-        return self.execute_plan(plan_for_instr(instr))
+        """Decode-on-the-fly single-instruction path (tests, tools),
+        returning the retired instruction as a trace event."""
+        vl, sew, lmul, mem, slide = self.execute_plan(plan_for_instr(instr))
+        return VectorEvent(instr, vl, sew, lmul,
+                           None if mem is None else MemAccess(*mem), slide)
 
-    def execute_plan(self, p: InstrPlan) -> VectorEvent:
+    def execute_plan(self, p: InstrPlan) -> tuple:
+        """Execute one pre-decoded instruction; returns ``(vl, sew, lmul,
+        mem, slide amount)`` with ``mem`` either ``None`` or the
+        :class:`~repro.functional.trace.MemAccess` fields as a tuple."""
         state = self.state
         state.require_legal_vtype()
         vl = state.vl
         sew = state.sew_bits
         lmul = state.lmul_i
         mask_bits = self._v0_mask(vl) if p.masked else None
-        mem_access, slide_amount = self._dispatch[p.vkind](
-            p, vl, sew, lmul, mask_bits)
-        return VectorEvent(p.instr, vl, sew, lmul, mem_access, slide_amount)
+        mem, slide = self._dispatch[p.vkind](p, vl, sew, lmul, mask_bits)
+        return vl, sew, lmul, mem, slide
 
     # ------------------------------------------------------------------
     # Operand helpers
@@ -472,8 +480,7 @@ class VectorUnit:
             else:
                 view = vfile._group_bytes(p.vs3, 1)
                 self.mem.write_bytes(base, view[:shape.count])
-            return (MemAccess(base, 1, shape.count, 1, pattern,
-                              spec.is_store), 0)
+            return ((base, 1, shape.count, 1, pattern, spec.is_store), 0)
 
         if pattern is MemPattern.UNIT:
             stride = shape.ew_bytes
@@ -488,8 +495,8 @@ class VectorUnit:
                 else:
                     offsets = np.flatnonzero(mask_bits) * stride
                     self.mem.write_scatter(base, offsets, data[mask_bits])
-            return (MemAccess(base, stride, vl, shape.ew_bytes, pattern,
-                              spec.is_store), 0)
+            return ((base, stride, vl, shape.ew_bytes, pattern,
+                     spec.is_store), 0)
 
         if pattern is MemPattern.STRIDED:
             stride = self.state.x.read(p.rs2)
@@ -505,8 +512,8 @@ class VectorUnit:
                     offsets = np.flatnonzero(mask_bits).astype(np.int64) \
                         * stride
                     self.mem.write_scatter(base, offsets, data[mask_bits])
-            return (MemAccess(base, stride, vl, shape.ew_bytes, pattern,
-                              spec.is_store), 0)
+            return ((base, stride, vl, shape.ew_bytes, pattern,
+                     spec.is_store), 0)
 
         # Indexed: mnemonic width is the index EEW; data uses SEW.
         index_eew = p.aux
@@ -531,4 +538,4 @@ class VectorUnit:
                 offsets = offsets[mask_bits]
                 data = data[mask_bits]
             self.mem.write_scatter(base, offsets, data)
-        return (MemAccess(base, 0, vl, sew // 8, pattern, spec.is_store), 0)
+        return ((base, 0, vl, sew // 8, pattern, spec.is_store), 0)

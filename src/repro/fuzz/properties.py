@@ -11,10 +11,11 @@ per registry machine unless noted:
 2. **key-stability** — ``trace_key`` is equal across machines that share
    a VLEN (the key must be insensitive to everything else in the
    machine spec);
-3. **pack-roundtrip** — ``pack_trace -> unpack_trace -> to_trace ->
-   pack_trace`` reproduces the original blob bit for bit;
+3. **pack-roundtrip** — ``pack_trace -> unpack_trace -> .events ->
+   ColumnTrace.from_events -> pack_trace`` reproduces the original blob
+   bit for bit, so the event view and the columns carry the same trace;
 4. **plan-vs-reference** — the vectorized ``ReplayPlan`` fast path
-   (on both the object trace and its packed form) produces a report
+   (on both the fresh capture and its unpacked copy) produces a report
    equal to the ``replay_reference`` specification loop.
 
 Failures raise :class:`PropertyFailure`, which carries the case so the
@@ -23,7 +24,7 @@ shrink loop (:mod:`repro.fuzz.shrink`) can minimize the reproducer.
 
 from __future__ import annotations
 
-from ..functional.trace_pack import pack_trace, unpack_trace
+from ..functional.trace_pack import ColumnTrace, pack_trace, unpack_trace
 from ..machine import get_machine
 from ..sim import replay_trace
 from ..timing.engine import TimingEngine
@@ -99,14 +100,16 @@ def check_case(case: FuzzCase, configs=None) -> dict:
                  "replay-identity", case, name,
                  "two independent captures pack to different blobs")
 
-        # Property 3: pack -> unpack -> to_trace -> pack is bit-exact.
+        # Property 3: pack -> unpack -> events -> from_events -> pack
+        # is bit-exact.
         packed = unpack_trace(blob, case.program)
-        _require(pack_trace(packed.to_trace(), case.program) == blob,
+        rewritten = ColumnTrace.from_events(packed.events, case.program)
+        _require(pack_trace(rewritten, case.program) == blob,
                  "pack-roundtrip", case, name,
                  "packed trace does not round-trip byte-identically")
 
         # Property 4: the vectorized plan equals the reference loop,
-        # from both the object trace and the packed form.
+        # from both the fresh capture and its unpacked copy.
         model = build_model(config)
         reference = TimingEngine(model).replay_reference(captured.trace)
         fast = TimingEngine(model).replay(captured.trace)
@@ -115,7 +118,7 @@ def check_case(case: FuzzCase, configs=None) -> dict:
                  f"{fast.cycles} != {reference.cycles} cycles")
         packed_fast = TimingEngine(model).replay(packed)
         _require(packed_fast == reference, "plan-vs-reference", case, name,
-                 f"packed-trace replay diverges from replay_reference: "
+                 f"unpacked-trace replay diverges from replay_reference: "
                  f"{packed_fast.cycles} != {reference.cycles} cycles")
 
         stats["events"][name] = len(captured.trace)

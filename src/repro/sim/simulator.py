@@ -4,8 +4,8 @@ Simulation is two decoupled stages:
 
 1. **Trace capture** (:meth:`Simulator.capture`) — the functional
    interpreter executes the program against the architectural state and
-   memory, emitting a machine-independent
-   :class:`~repro.functional.trace.DynamicTrace`.  The trace depends
+   memory, writing a machine-independent columnar
+   :class:`~repro.functional.trace_pack.ColumnTrace`.  The trace depends
    only on the program, the initial data, and VLEN — never on the
    timing model.
 2. **Replay** (:meth:`Simulator.replay` / :func:`replay_trace`) — the

@@ -42,15 +42,14 @@ Disk entries are written for *concurrent* readers and writers sharing one
   plan caches (which hold lambdas); a disk-rehydrated capture is
   replay-only and safe to ship across process boundaries.
 * **Columnar trace payload (v6)** — the payload is a small dict of
-  ``ExecResult`` fields in which the trace travels as a packed
+  ``ExecResult`` fields in which the trace travels as its packed
   struct-of-arrays blob (:func:`repro.functional.trace_pack
-  .pack_trace`) rather than a per-event object pickle.  Rehydration
-  wraps the blob as a lazy :class:`~repro.functional.trace_pack
-  .PackedTrace` — column views via ``np.frombuffer``, no per-event
-  heap objects — which the timing engine's vectorized replay consumes
-  directly.  Events that do not flatten (foreign classes, out-of-range
-  fields) ride in the blob's pickled fallback map, so any trace
-  round-trips losslessly.
+  .pack_trace`).  Rehydration wraps the blob as a
+  :class:`~repro.functional.trace_pack.ColumnTrace` of column views
+  (``np.frombuffer``, no per-event heap objects), which the timing
+  engine's vectorized replay consumes directly.  Events that do not
+  fit a column (out-of-range fields, foreign classes) ride in the
+  blob's pickled fallback map, so any trace round-trips losslessly.
 * **Atomic writes** — every file (entry or sidecar) is written to a
   ``tempfile`` inside ``disk_dir`` and moved into place with
   :func:`os.replace` (:func:`_write_atomic`, the one writer), so a
@@ -157,7 +156,7 @@ from typing import Callable, Optional, Union
 
 from ..env import ENV_STORE_BYTES, ENV_STORE_DIR, read_env
 from ..functional.executor import ExecResult
-from ..functional.trace_pack import PackedTrace, pack_trace, unpack_trace
+from ..functional.trace_pack import pack_trace, unpack_trace
 from ..isa.program import Program
 from .faults import FaultPlan
 
@@ -173,10 +172,11 @@ DEFAULT_CAPACITY = 32
 #: manual bump.  v3: the payload is nested as pickled bytes so envelope
 #: validation need not deserialize the trace.  v4: the payload bytes are
 #: zlib-compressed (a v3 file fails the format check and reads as a
-#: plain miss, never as a decompression error).  v5: trace event classes
-#: (``MemAccess``, ``DynamicTrace``) grew ``__slots__``, changing their
-#: pickled state shape — a v4 payload would fail mid-unpickle and be
-#: miscounted as *corrupt*; the bump makes it a plain stale miss.  v6:
+#: plain miss, never as a decompression error).  v5: trace classes
+#: (``MemAccess`` and the then object-list trace) grew ``__slots__``,
+#: changing their pickled state shape — a v4 payload would fail
+#: mid-unpickle and be miscounted as *corrupt*; the bump makes it a
+#: plain stale miss.  v6:
 #: the payload is a field dict whose trace is a columnar
 #: :func:`~repro.functional.trace_pack.pack_trace` blob instead of a
 #: per-event object pickle; a v5 payload (a pickled ``ExecResult``)
@@ -261,24 +261,20 @@ def _disk_payload(er: ExecResult) -> ExecResult:
     (large, and only needed by golden checks, which run at capture
     time).  Decoded plan caches (which hold lambdas) are excluded by
     ``Program`` / ``Instruction.__getstate__`` without touching the
-    live objects.  This object form is what capture workers ship over
-    pipes; the disk tier packs it further via :func:`_pack_payload`."""
+    live objects.  This is what capture workers ship over pipes (its
+    trace pickles as the packed blob); the disk tier stores the same
+    fields as a dict via :func:`_pack_payload`."""
     return ExecResult(state=er.state, trace=er.trace, retired=er.retired,
                       program=er.program, halted=er.halted, extra={})
 
 
 def _pack_payload(er: ExecResult) -> dict:
     """v6 disk payload: pruned ``ExecResult`` fields with the trace as
-    a columnar blob.  A trace already rehydrated as a
-    :class:`~repro.functional.trace_pack.PackedTrace` contributes its
-    existing blob bytes — re-persisting a disk-served entry never
-    re-packs."""
-    trace = er.trace
-    blob = (bytes(trace.blob) if isinstance(trace, PackedTrace)
-            else pack_trace(trace, er.program))
+    a columnar blob.  A trace rehydrated from a blob packs to that blob
+    unchanged, so re-persisting a disk-served entry never re-packs."""
     return {"state": er.state, "program": er.program,
             "retired": er.retired, "halted": er.halted,
-            "trace_blob": blob}
+            "trace_blob": pack_trace(er.trace, er.program)}
 
 
 def _payload_schema() -> tuple:
@@ -400,9 +396,9 @@ def _unwrap_envelope(obj: object) -> Optional[ExecResult]:
     """Payload of a disk envelope, or None for any stale/foreign shape.
 
     Rehydrates the v6 field dict into a replay-only ``ExecResult``
-    whose trace is a lazy :class:`~repro.functional.trace_pack
-    .PackedTrace` over the payload's columnar blob — no per-event
-    objects are built here.
+    whose trace is a :class:`~repro.functional.trace_pack.ColumnTrace`
+    over the payload's columnar blob — no per-event objects are built
+    here.
     """
     if not _validate_envelope(obj):
         return None  # older revision, drifted schema, or foreign shape

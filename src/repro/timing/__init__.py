@@ -1,7 +1,8 @@
 """Transaction-level cycle model (the "QuestaSim cycle" half).
 
-The engine replays a :class:`~repro.functional.trace.DynamicTrace` against
-a machine description (:mod:`repro.uarch`).  Vector instructions become
+The engine replays a captured
+:class:`~repro.functional.trace_pack.ColumnTrace` against a machine
+description (:mod:`repro.uarch`).  Vector instructions become
 streaming transactions on in-order unit resources; chaining is modelled
 with linear element-availability streams, and the three AraXL interfaces
 contribute their latencies exactly where the paper says they do.

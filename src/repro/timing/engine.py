@@ -26,15 +26,15 @@ from collections import deque
 from dataclasses import dataclass
 
 from ..errors import TimingError
-from ..functional.trace import (DynamicTrace, MemAccess, ScalarEvent,
-                                VectorEvent, VsetvlEvent)
+from ..functional.trace import MemAccess, ScalarEvent, VectorEvent, VsetvlEvent
+from ..functional.trace_pack import ColumnTrace
 from ..isa.instructions import ExecUnit, MemPattern
 from ..uarch.common import MachineModel
 from .frontend import ScalarFrontend
 from .replay_plan import ROW_REDUCTION, ROW_VSETVL, ReplayPlan
 from .report import TimingReport
 from .resources import Resource
-from .scoreboard import FlatScoreboard, Scoreboard
+from .scoreboard import Scoreboard
 from .stream import Stream, consume
 
 #: Unit resource names.
@@ -67,8 +67,8 @@ class TimingEngine:
         self.model = model
 
     # ------------------------------------------------------------------
-    def replay(self, trace) -> TimingReport:
-        """Replay ``trace`` (object or packed form) against the model.
+    def replay(self, trace: ColumnTrace) -> TimingReport:
+        """Replay ``trace`` against the model.
 
         The vectorized fast path: compile the trace once into a
         :class:`~repro.timing.replay_plan.ReplayPlan` (cached on the
@@ -80,13 +80,9 @@ class TimingEngine:
         the reference loop stays as the executable specification and
         the property-test oracle.
         """
-        plan = getattr(trace, "_plan", None)
-        if plan is None or plan.n_events != len(trace):
-            plan = ReplayPlan.from_trace(trace)
-            try:
-                trace._plan = plan
-            except (AttributeError, TypeError):
-                pass  # foreign trace container: plan lives for this call
+        plan = trace._plan
+        if plan is None:
+            plan = trace._plan = ReplayPlan.from_trace(trace)
         model = self.model
         bundle = plan.machine_rows(model)
         report = bundle.report
@@ -102,10 +98,14 @@ class TimingEngine:
         issue_to_arrive = model.request_latency + model.dispatch_latency
         scalar_result_latency = model.scalar_result_latency
 
-        sb = FlatScoreboard()
-        streams = sb.streams
-        write_end = sb.write_end
-        read_end = sb.read_end
+        # Scoreboard state as bare per-register lists, every operation
+        # inlined below: (t_first, t_last) of the last write (None: never
+        # written or empty, skipped by the group-combine exactly as
+        # Scoreboard.source_stream skips n == 0 streams), plus the write
+        # and read completion times Scoreboard tracks.
+        streams: list = [None] * 32
+        write_end = [0.0] * 32
+        read_end = [0.0] * 32
         upend = [deque() for _ in range(6)]
         uready = [0.0] * 6
         ubusy = [0.0] * 6
@@ -255,7 +255,9 @@ class TimingEngine:
         return _copy_report(report)
 
     # ------------------------------------------------------------------
-    def replay_reference(self, trace: DynamicTrace) -> TimingReport:
+    def replay_reference(self, trace) -> TimingReport:
+        """Replay ``trace`` event object by event object: the executable
+        specification :meth:`replay` is checked against."""
         model = self.model
         cfg = model.config
         frontend = ScalarFrontend(cfg.scalar, cfg.memory.l2_latency_cycles)

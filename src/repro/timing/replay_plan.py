@@ -27,15 +27,14 @@ against:
   :class:`~repro.timing.report.TimingReport`; replay-many of one trace
   against one model is a dict hit plus a defensive copy.
 
-The compiler reads the v6 trace columns
-(:mod:`repro.functional.trace_pack`), never event objects: a
-:class:`~repro.functional.trace_pack.PackedTrace` hands over its own
-column views, and an object-form trace is first reduced to the same
-columns by :func:`~repro.functional.trace_pack.trace_columns`.  Tag
-masks split the stream into issue rows and scalar segments; vector rows
-are grouped by their distinct ``(instruction, vl, sew, lmul)`` key, and
-each key is decoded *once*, through :meth:`TimingEngine._event_info` on
-a representative event — so its per-instruction ``_tinfo_by_cfg`` memo,
+The compiler reads the v6 trace columns of a
+:class:`~repro.functional.trace_pack.ColumnTrace`, never event objects
+(events kept whole in the trace's fallback map are first spliced back
+into the columns by :func:`_fold_fallback`).  Tag masks split the
+stream into issue rows and scalar segments; vector rows are grouped by
+their distinct ``(instruction, vl, sew, lmul)`` key, and each key is
+decoded *once*, through :meth:`TimingEngine._event_info` on a
+representative event — so its per-instruction ``_tinfo_by_cfg`` memo,
 including the first-event ``mem`` byte-accounting semantics, is shared
 with the reference loop and the plan can never drift from the reference
 decode.  The per-key results reach every row through the group index;
@@ -50,8 +49,7 @@ import numpy as np
 from ..errors import TimingError
 from ..functional.trace import MemAccess, ScalarEvent, VectorEvent, VsetvlEvent
 from ..functional.trace_pack import (PATTERN_CODE, PATTERNS, TAG_SCALAR,
-                                     TAG_VECTOR, TAG_VSETVL, PackedTrace,
-                                     trace_columns)
+                                     TAG_VECTOR, TAG_VSETVL, ColumnTrace)
 from ..isa.instructions import MemPattern
 from .frontend import ScalarFrontend
 from .stream import batch_stream_params
@@ -225,7 +223,7 @@ class _MachineRows:
 class ReplayPlan:
     """Machine-independent compilation of one dynamic trace."""
 
-    __slots__ = ("n_events", "scalar_count", "vector_count", "total_flops",
+    __slots__ = ("scalar_count", "vector_count", "total_flops",
                  "bytes_read", "bytes_written", "first_vec_unit",
                  "kind_vocab", "segs", "row_kind", "row_unit", "row_cn",
                  "row_n", "row_srcs", "row_dest", "row_dscal",
@@ -237,8 +235,8 @@ class ReplayPlan:
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_trace(cls, trace) -> "ReplayPlan":
-        """Compile ``trace`` (packed or object form) from its columns."""
+    def from_trace(cls, trace: ColumnTrace) -> "ReplayPlan":
+        """Compile ``trace`` from its columns."""
         # Deferred import: engine.py imports this module at load time.
         from .engine import (LOAD, MASKU, SLDU, STORE, TimingEngine, VALU,
                              VMFPU)
@@ -251,12 +249,9 @@ class ReplayPlan:
         cat_arith = TimingEngine._CAT_ARITH
         event_info = TimingEngine._event_info
 
-        if isinstance(trace, PackedTrace):
-            cols, kinds = trace.columns, trace.kinds
-            fallback = trace.fallback_events()
-            instructions = trace.program.instructions
-        else:
-            cols, kinds, fallback, instructions = trace_columns(trace)
+        cols, kinds = trace.columns, trace.kinds
+        instructions = trace.program.instructions
+        fallback = trace.fallback_events()
         if fallback:
             cols, kinds, instructions = _fold_fallback(
                 cols, kinds, instructions, fallback)
@@ -383,7 +378,6 @@ class ReplayPlan:
         mem_bytes = np.asarray(k_mem_bytes, dtype=np.float64)[group]
 
         plan = cls.__new__(cls)
-        plan.n_events = tags.size
         plan.vector_count = n_vec
         plan.scalar_count = tags.size - n_vec
         plan.total_flops = _stream_sum(flops)

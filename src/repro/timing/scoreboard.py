@@ -8,6 +8,9 @@ register; a reader of any member register chains on the group's stream.
 Storage is three parallel 32-entry lists (stream / write-end / read-end)
 rather than per-register objects: the replay loop touches the scoreboard
 several times per instruction, and flat list indexing keeps that cheap.
+This class serves the reference replay loop
+(:meth:`repro.timing.engine.TimingEngine.replay_reference`); the
+plan-driven fast path inlines the same three lists.
 """
 
 from __future__ import annotations
@@ -82,32 +85,3 @@ class Scoreboard:
     def all_done(self) -> float:
         """Cycle at which every register write has landed."""
         return max(self._write_end)
-
-
-class FlatScoreboard:
-    """Scoreboard state as bare parallel lists for the vectorized replay.
-
-    The plan-driven replay loop (:meth:`repro.timing.engine.TimingEngine
-    .replay`) inlines every scoreboard operation — group-combine, WAW/WAR
-    bound, read/write recording — directly over these lists, with
-    register groups pre-resolved to index tuples at plan-build time.  A
-    produced stream is summarized as a ``(t_first, t_last)`` pair
-    (``None`` = never written or empty, which the group-combine skips,
-    exactly like :meth:`Scoreboard.source_stream` skips ``n == 0``
-    streams); ``write_end`` / ``read_end`` carry the same completion
-    times :class:`Scoreboard` tracks.  Exposing the lists raw trades
-    encapsulation for the hot loop's locals — the class exists so the
-    state layout is named and testable in one place.
-    """
-
-    __slots__ = ("streams", "write_end", "read_end")
-
-    def __init__(self) -> None:
-        #: (t_first, t_last) of the last write per register, or None.
-        self.streams: list = [None] * 32
-        self.write_end: list[float] = [0.0] * 32
-        self.read_end: list[float] = [0.0] * 32
-
-    def all_done(self) -> float:
-        """Cycle at which every register write has landed."""
-        return max(self.write_end)

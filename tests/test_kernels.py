@@ -57,12 +57,14 @@ class TestFlopAccounting:
 
     def test_exp_fpu_op_count_matches_trace(self):
         # 21 VMFPU ops per element-strip, from the trace itself.
+        from repro.functional.trace import VectorEvent
         from repro.isa.instructions import ExecUnit
 
         config = AraXLConfig(lanes=8)
         run, result = run_kernel(KERNELS["exp"], config, 128, verify=False)
-        fpu_ops = sum(1 for e in result.functional.trace.vector_events()
-                      if e.spec.unit is ExecUnit.VMFPU)
+        fpu_ops = sum(1 for e in result.functional.trace.events
+                      if isinstance(e, VectorEvent)
+                      and e.spec.unit is ExecUnit.VMFPU)
         assert fpu_ops == EXP_FPU_OPS
 
 

@@ -32,7 +32,7 @@ from tools.lint.checkers.boundary import (  # noqa: E402
     SubmitPicklableChecker, TaskFieldChecker)
 from tools.lint.checkers.determinism import DeterminismChecker  # noqa: E402
 from tools.lint.checkers.docs import (  # noqa: E402
-    CrossRefChecker, DocLinkChecker, DocstringChecker)
+    CrossRefChecker, DocLinkChecker, DocNameChecker, DocstringChecker)
 from tools.lint.checkers.envreg import EnvRegistryChecker  # noqa: E402
 from tools.lint.checkers.exceptions import (  # noqa: E402
     ExceptionHygieneChecker)
@@ -368,7 +368,7 @@ def test_read_env_call_allowed(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Docs rules (RL601/RL603/RL604) on fabricated checkouts
+# Docs rules (RL601/RL603/RL604/RL605) on fabricated checkouts
 # ----------------------------------------------------------------------
 def test_broken_doc_link_flagged(tmp_path, monkeypatch):
     """A relative link to a missing file is RL601."""
@@ -447,6 +447,46 @@ def test_resolving_cross_references_allowed(tmp_path):
         ":meth:`~repro.sim.pool.Pool\n    .run` "
         ":attr:`~repro.sim.pool.Pool.size` "
         ":data:`~repro.sim.pool.LIMIT`")) == []
+
+
+def _doc_name_tree(tmp_path, monkeypatch, doc):
+    """A fabricated checkout whose README says ``doc``."""
+    import tools.lint.checkers.docs as docs_mod
+    monkeypatch.setattr(docs_mod, "DOC_FILES", ("README.md",))
+    pkg = tmp_path / "src" / "repro"
+    pkg.mkdir(parents=True)
+    (pkg / "pool.py").write_text(
+        '"""Pool."""\nfrom concurrent.futures import ProcessPoolExecutor\n'
+        'class SimPool:\n    """A pool."""\n')
+    tools_dir = tmp_path / "tools"
+    tools_dir.mkdir()
+    (tools_dir / "lint.py").write_text(
+        '"""Lint."""\ndef check():\n    class RepoChecker:\n'
+        '        """Nested."""\n')
+    (tmp_path / "README.md").write_text(doc)
+    return list(DocNameChecker().check_repo(tmp_path))
+
+
+def test_unknown_doc_name_flagged(tmp_path, monkeypatch):
+    """A backticked CamelCase name nothing defines is RL605, with or
+    without an attribute."""
+    findings = _doc_name_tree(
+        tmp_path, monkeypatch,
+        "The `SimPool` feeds\nthe `OldTrace` and `OldTrace._plan`.\n")
+    assert codes_of(findings) == ["RL605"]
+    assert sorted(f.message for f in findings) == [
+        "unknown name `OldTrace._plan`", "unknown name `OldTrace`"]
+    assert {f.line for f in findings} == {2}
+
+
+def test_known_doc_names_allowed(tmp_path, monkeypatch):
+    """Definitions, imports, builtins, lowercase-headed dotted names,
+    non-CamelCase spans and fenced code are all fine."""
+    assert _doc_name_tree(
+        tmp_path, monkeypatch,
+        "`SimPool.run`, `ProcessPoolExecutor`, `RepoChecker`, "
+        "`ValueError`, `pickle.PicklingError`, `Program`, `TAG_VECTOR`, "
+        "`x = OldTrace()`\n```\n`OldTrace`\n```\n") == []
 
 
 # ----------------------------------------------------------------------

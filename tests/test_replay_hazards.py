@@ -29,7 +29,7 @@ def _cycles(program, config) -> float:
 
 
 # ----------------------------------------------------------------------
-# FlatScoreboard hazard edges.
+# Scoreboard hazard edges (the fast path's inlined scoreboard lists).
 # ----------------------------------------------------------------------
 class TestScoreboardHazards:
     def test_all_32_registers_live(self, ara2_small):

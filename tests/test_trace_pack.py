@@ -1,38 +1,42 @@
-"""Property tests for the v6 columnar trace packing.
+"""Property tests for the columnar trace and its v6 packing.
 
-Two families of guarantees:
+Three families of guarantees:
 
-* **Round-trip** — randomized traces spanning every event kind (plus
-  the deliberate edge cases: empty traces, max-``vl``, mixed LMUL,
-  scalar-only streams, and events that must take the pickled-fallback
-  path) unpack to an event stream with identical contents and
-  aggregate counters.
-* **Replay identity** — replaying the packed form of a real captured
-  trace produces a byte-identical ``TimingReport`` to replaying the
-  object form, on every machine in the registry, for both the
-  vectorized and the reference replay loops; the packed form replays
-  without materializing a single event object.
-* **Plan compilation** — both trace forms compile to field-identical
-  replay plans, and the fallback, foreign-event and missing-MemAccess
-  paths behave the same in either form.
+* **Round-trip** — randomized event streams spanning every event kind
+  (plus the deliberate edge cases: empty traces, max-``vl``, mixed
+  LMUL, scalar-only streams, and events that must take the
+  pickled-fallback path), written through ``ColumnTrace.from_events``,
+  unpack to an event stream with identical contents and aggregate
+  counters; a capture writes exactly the columns ``from_events`` writes
+  from its own events.
+* **Replay identity** — replaying a real capture and its unpacked copy
+  produces a byte-identical ``TimingReport`` to the reference replay,
+  on every machine in the registry, and neither the capture, the store
+  nor the replay ever materializes an event object.
+* **Plan compilation** — a capture and its unpacked copy compile to
+  field-identical replay plans, and the fallback, foreign-event and
+  missing-MemAccess paths behave the same before and after a pack.
 """
 
 from __future__ import annotations
 
 import pickle
+import struct
 
 import numpy as np
 import pytest
 
-from repro.functional.trace import (DynamicTrace, MemAccess, ScalarEvent,
-                                    VectorEvent, VsetvlEvent)
-from repro.functional.trace_pack import (MAGIC, PackedTrace, pack_trace,
-                                         unpack_trace)
+from repro.functional.trace import (MemAccess, ScalarEvent, VectorEvent,
+                                    VsetvlEvent)
+from repro.functional.trace_pack import (MAGIC, TAG_FALLBACK, ColumnTrace,
+                                         pack_trace, unpack_trace)
 from repro.errors import TimingError
+from repro.isa import Assembler
 from repro.isa.instructions import MemPattern
 from repro.kernels import ZOO, build_fmatmul
 from repro.machine.registry import get_machine, list_machines
 from repro.params import Ara2Config
+from repro.sim import CaptureTask, SimPool, Simulator, TraceCache, run_pipeline
 from repro.sim.simulator import build_model
 from repro.timing.engine import TimingEngine
 from repro.timing.replay_plan import ReplayPlan
@@ -73,6 +77,8 @@ def _events_equal(a, b) -> bool:
 
 
 def _assert_round_trip(trace, program):
+    if not isinstance(trace, ColumnTrace):
+        trace = ColumnTrace.from_events(trace, program)
     blob = pack_trace(trace, program)
     assert blob.startswith(MAGIC)
     packed = unpack_trace(blob, program)
@@ -85,15 +91,14 @@ def _assert_round_trip(trace, program):
     return packed
 
 
-def _random_trace(rng, program, kinds=("scalar", "vsetvl", "vector",
-                                       "fallback")):
-    """A randomized trace mixing the requested event kinds, with the
-    boundary values (max-vl, None addresses, every LMUL and pattern)
+def _random_events(rng, program, kinds=("scalar", "vsetvl", "vector",
+                                        "fallback")):
+    """A randomized event list mixing the requested event kinds, with
+    the boundary values (max-vl, None addresses, every LMUL and pattern)
     reachable by the draw."""
     instrs = program.instructions
     vec_instrs = [i for i in instrs if i.mnemonic.startswith("v")]
-    trace = DynamicTrace()
-    events = trace.events
+    events = []
     n = int(rng.integers(0, 60))
     for _ in range(n):
         kind = kinds[int(rng.integers(0, len(kinds)))]
@@ -104,14 +109,12 @@ def _random_trace(rng, program, kinds=("scalar", "vsetvl", "vector",
                 ("alu", "mul", "fp", "load", "store",
                  "branch_taken")[int(rng.integers(0, 6))],
                 addr, int(rng.integers(0, 65))))
-            trace.scalar_count += 1
         elif kind == "vsetvl":
             vl = (0, 1, int(rng.integers(0, 1 << 16)),
                   _I64_MAX)[int(rng.integers(0, 4))]  # max-vl boundary
             events.append(VsetvlEvent(
                 vl, (8, 16, 32, 64)[int(rng.integers(0, 4))],
                 (1, 2, 4, 8)[int(rng.integers(0, 4))]))  # mixed LMUL
-            trace.scalar_count += 1
         elif kind == "vector":
             instr = vec_instrs[int(rng.integers(0, len(vec_instrs)))]
             mem = None
@@ -131,11 +134,9 @@ def _random_trace(rng, program, kinds=("scalar", "vsetvl", "vector",
                 (8, 16, 32, 64)[int(rng.integers(0, 4))],
                 (1, 2, 4, 8)[int(rng.integers(0, 4))], mem,
                 int(rng.integers(-8, 9))))
-            trace.vector_count += 1
-            trace.total_flops += float(rng.integers(0, 1000))
         else:
             events.append(OddballEvent(int(rng.integers(0, 1000))))
-    return trace
+    return events
 
 
 # ----------------------------------------------------------------------
@@ -143,25 +144,29 @@ def _random_trace(rng, program, kinds=("scalar", "vsetvl", "vector",
 # ----------------------------------------------------------------------
 class TestRoundTrip:
     def test_empty_trace(self, capture):
-        packed = _assert_round_trip(DynamicTrace(), capture.program)
+        packed = _assert_round_trip([], capture.program)
         assert len(packed) == 0
         assert packed.events == []
 
     @pytest.mark.parametrize("seed", range(8))
     def test_randomized_mixed_streams(self, capture, seed):
         rng = np.random.default_rng(seed)
-        trace = _random_trace(rng, capture.program)
-        _assert_round_trip(trace, capture.program)
+        events = _random_events(rng, capture.program)
+        _assert_round_trip(events, capture.program)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_scalar_only_streams(self, capture, seed):
         rng = np.random.default_rng(100 + seed)
-        trace = _random_trace(rng, capture.program, kinds=("scalar",))
-        assert trace.vector_count == 0
-        _assert_round_trip(trace, capture.program)
+        events = _random_events(rng, capture.program, kinds=("scalar",))
+        packed = _assert_round_trip(events, capture.program)
+        assert packed.vector_count == 0
+        assert packed.scalar_count == len(events)
 
     def test_real_capture_round_trips(self, capture):
         _assert_round_trip(capture.trace, capture.program)
+        copy = pickle.loads(pickle.dumps(capture.program))
+        with pytest.raises(ValueError, match="different program"):
+            pack_trace(capture.trace, copy)
 
     def test_vector_events_relink_to_program_instructions(self, capture):
         packed = _assert_round_trip(capture.trace, capture.program)
@@ -170,13 +175,12 @@ class TestRoundTrip:
                 assert got.instr is want.instr  # identity, not a copy
 
     def test_out_of_range_fields_take_the_fallback_path(self, capture):
-        trace = DynamicTrace()
-        # vl beyond i64, negative address, foreign instruction: none of
+        # vl beyond i64, negative address, foreign event class: none of
         # these fit a column, all must survive the pickled fallback.
-        trace.events.append(VsetvlEvent(1 << 64, 8, 1))
-        trace.events.append(ScalarEvent("load", -4, 8))
-        trace.events.append(OddballEvent("x"))
-        trace.scalar_count = 2
+        trace = ColumnTrace.from_events(
+            [VsetvlEvent(1 << 64, 8, 1), ScalarEvent("load", -4, 8),
+             OddballEvent("x")], capture.program)
+        assert trace.scalar_count == 2
         blob = pack_trace(trace, capture.program)
         packed = unpack_trace(blob, capture.program)
         assert isinstance(packed.events[0], VsetvlEvent)
@@ -188,11 +192,15 @@ class TestRoundTrip:
         packed = unpack_trace(pack_trace(capture.trace, capture.program),
                               capture.program)
         clone = pickle.loads(pickle.dumps(packed))
-        assert isinstance(clone, PackedTrace)
+        assert isinstance(clone, ColumnTrace)
         assert bytes(clone.blob) == bytes(packed.blob)
         assert len(clone) == len(packed)
         for got, want in zip(clone.events, packed.events):
             assert _events_equal(got, want)
+        # A fresh capture ships over pipes as its packed blob too.
+        fresh = pickle.loads(pickle.dumps(capture.trace))
+        assert bytes(fresh.blob) == pack_trace(capture.trace,
+                                               capture.program)
 
     def test_malformed_blobs_raise_value_error(self, capture):
         good = pack_trace(capture.trace, capture.program)
@@ -201,19 +209,45 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             unpack_trace(good[:20], capture.program)
 
-    def test_to_trace_rebuilds_equal_dynamic_trace(self, capture):
-        packed = unpack_trace(pack_trace(capture.trace, capture.program),
-                              capture.program)
-        rebuilt = packed.to_trace()
-        assert isinstance(rebuilt, DynamicTrace)
+    def test_tag_counts_must_match_the_header(self, capture):
+        good = pack_trace(capture.trace, capture.program)
+        (header_len,) = struct.unpack_from("<I", good, 4)
+        first = (8 + header_len + 7) & ~7  # the tag column leads
+        assert good[first] == 0  # fmatmul opens with a scalar
+        for tag in (2, TAG_FALLBACK + 1):
+            bad = good[:first] + bytes([tag]) + good[first + 1:]
+            with pytest.raises(ValueError, match="tag column"):
+                unpack_trace(bad, capture.program)
+
+    def test_from_events_rebuilds_equal_trace(self, capture):
+        blob = pack_trace(capture.trace, capture.program)
+        packed = unpack_trace(blob, capture.program)
+        rebuilt = ColumnTrace.from_events(packed.events, capture.program)
         assert len(rebuilt) == len(capture.trace)
         assert rebuilt.scalar_count == capture.trace.scalar_count
         assert rebuilt.total_flops == capture.trace.total_flops
+        assert pack_trace(rebuilt, capture.program) == blob
 
 
 # ----------------------------------------------------------------------
-# Replay identity: packed vs object form, every registry machine
+# Replay identity: fresh capture vs unpacked copy, every registry machine
 # ----------------------------------------------------------------------
+def _empty_masked_store_program():
+    """A masked ``vsse64.v`` with no active elements at base ``x = -8``:
+    the base reads unsigned as 2**64 - 8, which no i64 column holds, and
+    the empty scatter returns before it validates the address."""
+    asm = Assembler("empty_masked_store_high_base")
+    asm.li("x1", 8)
+    asm.vsetvli("x2", "x1", sew=64, lmul=1)
+    asm.vmsne_vi("v0", "v8", 0)     # v8 is all zero -> empty mask
+    asm.li("x3", -8)
+    asm.li("x4", 16)
+    asm.vsse64_v("v9", "x3", "x4", masked=True)
+    asm.vadd_vv("v10", "v9", "v9")
+    asm.halt()
+    return asm.build()
+
+
 class TestReplayIdentity:
     @pytest.mark.parametrize("machine", sorted(list_machines()))
     def test_packed_replay_matches_object_replay(self, machine):
@@ -224,10 +258,47 @@ class TestReplayIdentity:
             pack_trace(captured.trace, captured.program), captured.program)
         model = build_model(cfg)
         reference = TimingEngine(model).replay_reference(captured.trace)
-        fast_obj = TimingEngine(model).replay(captured.trace)
+        fast_capture = TimingEngine(model).replay(captured.trace)
         fast_packed = TimingEngine(model).replay(packed)
-        assert fast_obj == reference
+        assert fast_capture == reference
         assert fast_packed == reference
+        assert TimingEngine(model).replay_reference(packed) == reference
+
+    def test_real_capture_fallback_round_trips_and_replays(self):
+        program = _empty_masked_store_program()
+        for machine in sorted(list_machines()):
+            cfg = get_machine(machine)
+            trace = Simulator(cfg).capture(program).trace
+            fallback = trace.fallback_events()
+            assert len(fallback) == 1
+            (index, event), = fallback.items()
+            assert trace.columns["tags"][index] == TAG_FALLBACK
+            assert event.instr.mnemonic == "vsse64_v"
+            assert event.mem.base == (1 << 64) - 8
+            blob = pack_trace(trace, program)
+            packed = unpack_trace(blob, program)
+            assert pack_trace(packed, program) == blob
+            assert pack_trace(ColumnTrace.from_events(packed.events,
+                                                      program),
+                              program) == blob
+            assert packed.fallback_events()[index].mem.base == (1 << 64) - 8
+            model = build_model(cfg)
+            reference = TimingEngine(model).replay_reference(trace)
+            assert TimingEngine(model).replay(trace) == reference, machine
+            assert TimingEngine(model).replay(packed) == reference, machine
+
+    def test_cold_pipeline_builds_no_events(self, tmp_path):
+        cfg = Ara2Config(lanes=4)
+        task = CaptureTask.for_kernel("fmatmul", cfg, 64,
+                                      {"m": 8, "k": 16})
+        pool = SimPool(workers=1, cache=TraceCache(disk_dir=tmp_path))
+        report, = run_pipeline([task], [(cfg, 0)], pool)
+        assert pool.cache.stats["misses"] == 1  # captured cold
+        assert list(tmp_path.glob("trace_*.pkl"))  # put reached the disk
+        trace = pool.cache.get(task.key()).trace
+        assert trace._plan is not None  # replayed
+        assert trace._events is None    # ... from columns alone
+        assert report == TimingEngine(build_model(cfg)).replay(trace)
 
     @pytest.mark.parametrize("machine", sorted(list_machines()))
     def test_packed_replay_builds_no_events(self, machine):
@@ -242,7 +313,7 @@ class TestReplayIdentity:
 
 
 # ----------------------------------------------------------------------
-# Plan compilation: both trace forms, fallback and error paths
+# Plan compilation: before and after a pack, fallback and error paths
 # ----------------------------------------------------------------------
 def _plan_fields(plan: ReplayPlan) -> dict:
     """Every plan slot (arrays by dtype and contents) plus each row's
@@ -261,6 +332,10 @@ def _plan_fields(plan: ReplayPlan) -> dict:
 
 
 def _both_forms(trace, program):
+    """The trace as written ("object": captured or built from event
+    objects) and its unpacked copy ("packed")."""
+    if not isinstance(trace, ColumnTrace):
+        trace = ColumnTrace.from_events(trace, program)
     packed = unpack_trace(pack_trace(trace, program), program)
     return {"object": trace, "packed": packed}
 
@@ -271,6 +346,23 @@ def _first_event(trace, predicate):
 
 class TestPlanCompile:
     @pytest.mark.parametrize("kernel", sorted(set(ZOO) - {"fuzz"}))
+    def test_capture_writes_the_columns_of_its_events(self, kernel):
+        cfg = Ara2Config(lanes=4)
+        captured = ZOO[kernel](cfg, 64).capture(cfg, verify=False)
+        trace = captured.trace
+        rebuilt = ColumnTrace.from_events(trace.events, captured.program)
+        assert rebuilt.columns.keys() == trace.columns.keys()
+        for name, column in trace.columns.items():
+            assert rebuilt.columns[name].dtype == column.dtype, name
+            assert np.array_equal(rebuilt.columns[name], column), name
+        assert rebuilt.kinds == trace.kinds
+        assert rebuilt.fallback_bytes == trace.fallback_bytes
+        assert ((rebuilt.scalar_count, rebuilt.vector_count,
+                 rebuilt.total_flops)
+                == (trace.scalar_count, trace.vector_count,
+                    trace.total_flops))
+
+    @pytest.mark.parametrize("kernel", sorted(set(ZOO) - {"fuzz"}))
     def test_trace_forms_compile_to_equal_plans(self, kernel):
         cfg = Ara2Config(lanes=4)
         captured = ZOO[kernel](cfg, 64).capture(cfg, verify=False)
@@ -278,7 +370,8 @@ class TestPlanCompile:
         plans = {name: _plan_fields(ReplayPlan.from_trace(trace))
                  for name, trace in forms.items()}
         assert plans["object"] == plans["packed"]
-        assert plans["object"]["n_events"] == len(captured.trace)
+        assert (plans["object"]["scalar_count"]
+                + plans["object"]["vector_count"]) == len(captured.trace)
 
     def test_fallback_rows_replay_like_the_reference(self, capture):
         base = capture.trace
@@ -299,11 +392,10 @@ class TestPlanCompile:
         events = list(base.events)
         for offset, event in enumerate(extra):
             events.insert(len(events) // 3 + 7 * offset, event)
-        trace = DynamicTrace(events=events)
-        forms = _both_forms(trace, capture.program)
+        forms = _both_forms(events, capture.program)
         assert len(forms["packed"].fallback_events()) == len(extra)
         model = build_model(Ara2Config(lanes=4))
-        reference = TimingEngine(model).replay_reference(trace)
+        reference = TimingEngine(model).replay_reference(events)
         for name, form in forms.items():
             assert TimingEngine(model).replay(form) == reference, name
         assert forms["packed"]._events is None
@@ -312,8 +404,7 @@ class TestPlanCompile:
     def test_foreign_event_class_raises(self, capture, form):
         events = list(capture.trace.events)
         events.insert(5, OddballEvent("x"))
-        trace = _both_forms(DynamicTrace(events=events),
-                            capture.program)[form]
+        trace = _both_forms(events, capture.program)[form]
         with pytest.raises(TimingError, match="unknown trace event"):
             TimingEngine(build_model(Ara2Config(lanes=4))).replay(trace)
 
@@ -334,6 +425,6 @@ class TestPlanCompile:
             if isinstance(e, VectorEvent) and e.mem is not None)
         events[index] = VectorEvent(mem_op.instr, mem_op.vl, mem_op.sew,
                                     mem_op.lmul, None, mem_op.slide_amount)
-        trace = _both_forms(DynamicTrace(events=events), program)[form]
+        trace = _both_forms(events, program)[form]
         with pytest.raises(TimingError, match="lacks a MemAccess"):
             TimingEngine(build_model(Ara2Config(lanes=4))).replay(trace)

@@ -6,8 +6,10 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
+import struct
 import time
 import warnings
+import zlib
 
 import pytest
 
@@ -611,3 +613,30 @@ class TestWarmServeWriteCost:
         assert reader.get(key) is not None  # serve survives the fault
         assert reader.serve_note_errors == 1
         assert not reader.memory_only
+
+
+# ----------------------------------------------------------------------
+# Payload integrity beyond the CRC
+# ----------------------------------------------------------------------
+class TestBlobIntegrity:
+    def test_tag_count_mismatch_reads_as_a_miss(self, tmp_path):
+        """A checksummed entry whose blob's tag column disagrees with
+        its header counts is corrupt: a miss, purged, never replayed."""
+        store = TraceCache(disk_dir=tmp_path)
+        key = _capture_entry(store)
+        path = _entry_file(store, key)
+        envelope = pickle.loads(path.read_bytes())
+        payload = pickle.loads(zlib.decompress(envelope["payload"]))
+        blob = payload["trace_blob"]
+        (header_len,) = struct.unpack_from("<I", blob, 4)
+        first = (8 + header_len + 7) & ~7  # the tag column leads
+        assert blob[first] == 0  # a scalar event, retagged as a vector
+        payload["trace_blob"] = blob[:first] + b"\x02" + blob[first + 1:]
+        envelope["payload"] = zlib.compress(pickle.dumps(payload))
+        envelope["crc32"] = zlib.crc32(envelope["payload"]) & 0xFFFFFFFF
+        path.write_bytes(pickle.dumps(envelope))
+
+        reader = TraceCache(disk_dir=tmp_path)
+        assert reader.get(key) is None
+        assert reader.corrupt_purged == 1
+        assert not path.exists()

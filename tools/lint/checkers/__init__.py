@@ -11,7 +11,7 @@ module here, give it a stable unused ``RL`` code, append an instance to
 from .boundary import SubmitPicklableChecker, TaskFieldChecker
 from .determinism import DeterminismChecker
 from .docs import (CliExampleChecker, CrossRefChecker, DocLinkChecker,
-                   DocstringChecker)
+                   DocNameChecker, DocstringChecker)
 from .envreg import EnvRegistryChecker
 from .exceptions import ExceptionHygieneChecker
 from .slots import SlotsChecker
@@ -28,6 +28,7 @@ ALL_CHECKERS = (
     CliExampleChecker(),
     DocstringChecker(),
     CrossRefChecker(),
+    DocNameChecker(),
 )
 
 __all__ = ["ALL_CHECKERS"]

@@ -1,4 +1,4 @@
-"""Docs rules (RL601–RL604): links, CLI examples and docstrings.
+"""Docs rules (RL601–RL605): links, CLI examples, docstrings and names.
 
 Repo-level: RL601 verifies every relative
 markdown link in the documented pages resolves inside the checkout,
@@ -7,13 +7,15 @@ RL602 parses every documented ``python -m repro.eval`` line with the
 reader), RL603 requires docstrings on every ``src/repro`` module
 and public top-level def, and RL604 resolves every ``repro.…``
 cross-reference role in ``src/repro`` against the source tree (a
-deleted class breaks the lint, not the reader).  ``python -m tools.lint
---select RL6`` runs only these rules.
+deleted class breaks the lint, not the reader), and RL605 does the same
+for backticked class-style names in the documented pages.  ``python -m
+tools.lint --select RL6`` runs only these rules.
 """
 
 from __future__ import annotations
 
 import ast
+import builtins
 import re
 import shlex
 import sys
@@ -232,3 +234,75 @@ class CrossRefChecker(RepoChecker):
             node = names[name]
             body = node.body if node is not None else []
         return True
+
+
+#: An inline code span (fenced blocks are blanked out first).
+_SPAN_RE = re.compile(r"`([^`\n]+)`")
+
+#: A class-style name -- two or more capitals, at least one lowercase
+#: letter -- alone or followed by ``.attr`` parts.
+_CAMEL_RE = re.compile(r"([A-Z][A-Za-z0-9_]*)(?:\.[A-Za-z_][A-Za-z0-9_]*)*")
+
+
+def _camel_head(span: str) -> str | None:
+    """The leading class-style name of a code span, if it is one."""
+    match = _CAMEL_RE.fullmatch(span)
+    if match is None:
+        return None
+    head = match.group(1)
+    if sum(c.isupper() for c in head) < 2 or not any(c.islower()
+                                                      for c in head):
+        return None
+    return head
+
+
+def _defined_names(root: Path) -> set:
+    """Every name a def, class, assignment or import binds anywhere in
+    ``src/repro`` or ``tools``."""
+    names: set = set()
+    for top in (root / "src" / "repro", root / "tools"):
+        for path in sorted(top.rglob("*.py")):
+            try:
+                tree = ast.parse(path.read_text())
+            except SyntaxError:
+                continue  # RL000 reports unparseable files
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                                     ast.AsyncFunctionDef)):
+                    names.add(node.name)
+                elif isinstance(node, ast.Name) \
+                        and isinstance(node.ctx, ast.Store):
+                    names.add(node.id)
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    for alias in node.names:
+                        names.add(alias.asname
+                                  or alias.name.rsplit(".", 1)[-1])
+    return names
+
+
+class DocNameChecker(RepoChecker):
+    """Backticked class-style names in the docs must still exist."""
+
+    code = "RL605"
+    codes = ("RL605",)
+    name = "doc-names"
+    description = ("every backticked CamelCase name (alone or with "
+                   "`.attr`) in README/docs is defined or imported under "
+                   "src/repro or tools/, or is a builtin")
+
+    def check_repo(self, root: Path):
+        known = _defined_names(root)
+        for name in DOC_FILES:
+            doc = root / name
+            if not doc.is_file():
+                continue  # RL601 reports missing pages
+            # Blank fenced blocks, keeping their newlines for line numbers.
+            text = _FENCE_RE.sub(lambda m: "\n" * m.group(0).count("\n"),
+                                 doc.read_text())
+            for match in _SPAN_RE.finditer(text):
+                head = _camel_head(match.group(1))
+                if head is None or head in known or hasattr(builtins, head):
+                    continue
+                line = text.count("\n", 0, match.start()) + 1
+                yield self.finding_at(
+                    name, line, f"unknown name `{match.group(1)}`")
