@@ -64,9 +64,6 @@ class ScalarRegs:
     def read_unsigned(self, index: int) -> int:
         return self.read(index) & _I64_MASK
 
-    def snapshot(self) -> list[int]:
-        return list(self._regs)
-
 
 class FpRegs:
     """Floating-point register file holding float64 values.
@@ -84,9 +81,6 @@ class FpRegs:
 
     def write(self, index: int, value: float) -> None:
         self._regs[index] = float(value)
-
-    def snapshot(self) -> np.ndarray:
-        return np.array(self._regs, dtype=np.float64)
 
 
 class VectorRegFile:
@@ -201,19 +195,6 @@ class VectorRegFile:
             keep = view[nbytes - 1] & np.uint8((0xFF << (vl % 8)) & 0xFF)
             packed[-1] |= keep
         view[:nbytes] = packed
-
-    def raw_register(self, reg: int) -> np.ndarray:
-        """Whole-register byte copy (for tests and reshuffle modelling)."""
-        return self._group_bytes(reg, 1).copy()
-
-    def write_raw(self, reg: int, data: np.ndarray) -> None:
-        if reg == 0:
-            self.v0_writes += 1
-        view = self._group_bytes(reg, 1)
-        data = np.asarray(data, dtype=np.uint8)
-        if data.size != view.size:
-            raise ExecutionError("raw write must cover the whole register")
-        view[:] = data
 
 
 class ArchState:

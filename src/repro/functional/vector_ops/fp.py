@@ -19,28 +19,13 @@ from typing import Callable
 import numpy as np
 
 
-def _div(vs2: np.ndarray, op1: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return vs2 / op1
-
-
-def _rdiv(vs2: np.ndarray, op1: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return op1 / vs2
-
-
-def _sqrt(vs2: np.ndarray) -> np.ndarray:
-    with np.errstate(invalid="ignore"):
-        return np.sqrt(vs2)
-
-
 def _ieee(fn: Callable) -> Callable:
-    """``fn`` evaluated with IEEE-754 overflow and invalid results (inf,
-    NaN) taken silently, as the hardware produces them: the values are
-    numpy's, only the ``RuntimeWarning`` is dropped."""
+    """``fn`` evaluated with IEEE-754 overflow, divide-by-zero and invalid
+    results (inf, NaN) taken silently, as the hardware produces them: the
+    values are numpy's, only the ``RuntimeWarning`` is dropped."""
 
     def apply(*operands: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             return fn(*operands)
 
     return apply
@@ -72,8 +57,8 @@ BINOPS: dict[str, Callable] = {
     "vfsub": _ieee(np.subtract),
     "vfrsub": _ieee(lambda vs2, op1: np.subtract(op1, vs2)),
     "vfmul": _ieee(np.multiply),
-    "vfdiv": _div,
-    "vfrdiv": _rdiv,
+    "vfdiv": _ieee(np.divide),
+    "vfrdiv": _ieee(lambda vs2, op1: np.divide(op1, vs2)),
     "vfmin": np.fmin,
     "vfmax": np.fmax,
     "vfsgnj": _sign_inject("j"),
@@ -82,7 +67,7 @@ BINOPS: dict[str, Callable] = {
 }
 
 UNARY: dict[str, Callable] = {
-    "vfsqrt_v": _sqrt,
+    "vfsqrt_v": _ieee(np.sqrt),
     "vfabs_v": np.abs,
     "vfneg_v": np.negative,
 }

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ...errors import IllegalInstructionError
 from ...isa.instructions import MemPattern
 
@@ -48,8 +46,3 @@ def data_shape(mnemonic: str, pattern: MemPattern, vl: int, sew: int,
     if eew * lmul % sew and eew * lmul // sew == 0:
         emul = 1  # fractional EMUL collapses to one register here
     return MemShape(ew_bytes=eew // 8, emul=emul, count=vl)
-
-
-def unit_dtype(ew_bytes: int) -> np.dtype:
-    """Unsigned dtype moving ``ew_bytes``-wide memory elements."""
-    return np.dtype(f"u{ew_bytes}")

@@ -21,7 +21,6 @@ The laws encoded here follow Section III of the paper:
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -210,11 +209,6 @@ class SystemConfig:
         return self.vlen_bits * lmul // sew
 
     @property
-    def datapath_bytes_per_cycle(self) -> int:
-        """Bytes the lanes jointly produce/consume per cycle."""
-        return (self.lane_width_bits // 8) * self.lanes
-
-    @property
     def peak_dp_flops_per_cycle(self) -> int:
         """One DP FMA per lane per cycle = 2 DP-FLOP per lane per cycle."""
         return 2 * self.lanes
@@ -369,30 +363,6 @@ class AraXLConfig(SystemConfig):
     @property
     def lanes_per_cluster(self) -> int:
         return min(self.lanes, LANES_PER_CLUSTER)
-
-    @property
-    def glsu_pipeline_stages(self) -> int:
-        """Levels of the Align+Shuffle networks plus extra register cuts.
-
-        Align uses power-of-2 shift levels over the memory bus and Shuffle
-        distributes to C clusters, so both grow with log2(C).
-        """
-        levels = self.glsu_base_stages + max(0, int(math.log2(self.clusters)))
-        return levels + self.glsu_extra_regs
-
-    @property
-    def ring_hop_cycles(self) -> int:
-        return self.ring_hop_latency + self.ringi_extra_regs
-
-    @property
-    def reqi_issue_latency(self) -> int:
-        """CVA6-to-cluster request latency."""
-        return self.reqi_broadcast_latency + self.reqi_extra_regs
-
-    @property
-    def reqi_ack_latency(self) -> int:
-        """Cluster-0-to-CVA6 acknowledgement latency (limits issue rate)."""
-        return self.reqi_ack_base_latency + self.reqi_extra_regs
 
     @property
     def name(self) -> str:

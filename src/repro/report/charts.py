@@ -18,14 +18,3 @@ def bar_chart(labels: Sequence[str], values: Sequence[float],
         bar = "#" * max(1 if value else 0, round(abs(value) / peak * width))
         lines.append(f"{label.ljust(label_w)} | {bar} {value:.2f}{unit}")
     return "\n".join(lines)
-
-
-def line_points(xs: Sequence[float], ys: Sequence[float],
-                x_label: str = "x", y_label: str = "y") -> str:
-    """Render a series as aligned (x, y) pairs — good enough for logs."""
-    if len(xs) != len(ys):
-        raise ValueError("xs and ys must align")
-    lines = [f"{x_label:>10} {y_label:>12}"]
-    for x, y in zip(xs, ys):
-        lines.append(f"{x:>10g} {y:>12.4g}")
-    return "\n".join(lines)

@@ -6,15 +6,40 @@ can hide "the latency of scalar loads-stores through the data-cache").
 We model an in-order single-issue pipeline: one cycle per ALU op, a
 load-to-use latency through a direct-mapped D$, a taken-branch penalty,
 and a pipelined scalar FPU.
+
+The D$ model (:class:`DirectMappedCache`) lives here, next to its only
+user.  Only its hit/miss behaviour reaches a rendered number, so it is
+tag-only: no data storage, no write-back traffic.
 """
 
 from __future__ import annotations
 
 from ..functional.trace import ScalarEvent
-from ..memory.cache import DirectMappedCache
 from ..params import ScalarCoreConfig
 
 __all__ = ["ScalarFrontend", "DirectMappedCache"]
+
+
+class DirectMappedCache:
+    """Tag-only direct-mapped cache (hit/miss timing, no data)."""
+
+    def __init__(self, size_bytes: int, line_bytes: int) -> None:
+        self.line_bytes = line_bytes
+        self.num_lines = max(1, size_bytes // line_bytes)
+        self._tags: list[int | None] = [None] * self.num_lines
+        self.hits = 0
+        self.misses = 0
+
+    def access(self, addr: int) -> bool:
+        """Touch ``addr``; returns True on hit and fills on miss."""
+        line = addr // self.line_bytes
+        index = line % self.num_lines
+        if self._tags[index] == line:
+            self.hits += 1
+            return True
+        self._tags[index] = line
+        self.misses += 1
+        return False
 
 
 class ScalarFrontend:

@@ -14,7 +14,7 @@ from repro.eval.table1_kernels import render_table1
 from repro.eval.table2_area import render_table2
 from repro.eval.table3_ppa import render_table3
 from repro.params import Ara2Config, AraXLConfig
-from repro.report import bar_chart, line_points, render_table
+from repro.report import bar_chart, render_table
 
 
 class TestSurvey:
@@ -138,7 +138,3 @@ class TestReportHelpers:
     def test_bar_chart_mismatch(self):
         with pytest.raises(ValueError):
             bar_chart(["x"], [1.0, 2.0])
-
-    def test_line_points(self):
-        text = line_points([1, 2], [3.0, 4.0], "B/lane", "util")
-        assert "B/lane" in text

@@ -1,5 +1,7 @@
 """Floating-point vector semantics: binops, FMA family, conversions."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,20 @@ class TestBinops:
         env.run("vfdiv_vv", "v24", "v8", "v16")
         got = env.get_v(24)
         assert got[0] == np.inf and np.isnan(got[1]) and got[2] == -np.inf
+
+    def test_overflowing_quotient_is_silent_inf(self):
+        """An overflowing vfdiv/vfrdiv quotient is +inf, as the hardware
+        produces it, with no ``RuntimeWarning``."""
+        env = _env(vl=2)
+        env.set_v(8, np.array([1e300, 1e-300]))
+        env.set_v(16, np.array([1e-300, 1e-300]))
+        env.state.f.write(2, 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            env.run("vfdiv_vv", "v24", "v8", "v16")
+            env.run("vfrdiv_vf", "v25", "v16", "f2")
+        assert np.array_equal(env.get_v(24), [np.inf, 1.0])
+        assert np.array_equal(env.get_v(25), [np.inf, np.inf])
 
     def test_vf_form_broadcasts_scalar(self):
         env = _env()

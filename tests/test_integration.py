@@ -5,7 +5,6 @@ import pytest
 
 from repro import AraXLConfig, Ara2Config, Assembler, Simulator, run_program
 from repro.kernels import KERNELS
-from repro.memory import DirectMappedCache, InvalidationFilter
 
 
 class TestSimulatorFacade:
@@ -132,14 +131,6 @@ class TestCoherencePath:
         a.halt()
         sim.run(a.build())
         assert sim.state.x.read(6) == 5
-
-    def test_filter_invalidates_on_vector_store(self):
-        dcache = DirectMappedCache(4096, 64)
-        filt = InvalidationFilter(dcache)
-        dcache.access(256)
-        filt.note_scalar_fill(256)
-        assert filt.on_vector_store(256, 128) >= 1
-        assert not dcache.access(256)
 
 
 class TestDeterminism:

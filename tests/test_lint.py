@@ -30,6 +30,7 @@ from tools.lint import (  # noqa: E402
     ALL_CHECKERS, load_baseline, run_lint, write_baseline)
 from tools.lint.checkers.boundary import (  # noqa: E402
     SubmitPicklableChecker, TaskFieldChecker)
+from tools.lint.checkers.deadcode import DeadModuleChecker  # noqa: E402
 from tools.lint.checkers.determinism import DeterminismChecker  # noqa: E402
 from tools.lint.checkers.docs import (  # noqa: E402
     CrossRefChecker, DocLinkChecker, DocNameChecker, DocstringChecker)
@@ -487,6 +488,70 @@ def test_known_doc_names_allowed(tmp_path, monkeypatch):
         "`SimPool.run`, `ProcessPoolExecutor`, `RepoChecker`, "
         "`ValueError`, `pickle.PicklingError`, `Program`, `TAG_VECTOR`, "
         "`x = OldTrace()`\n```\n`OldTrace`\n```\n") == []
+
+
+# ----------------------------------------------------------------------
+# Dead modules (RL701) on fabricated checkouts
+# ----------------------------------------------------------------------
+def _dead_module_tree(tmp_path, files):
+    """Write ``{rel: source}`` under ``tmp_path`` and run RL701."""
+    for rel, source in files.items():
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(source))
+    return list(DeadModuleChecker().check_repo(tmp_path))
+
+
+def test_test_only_module_flagged(tmp_path):
+    """Imported only by its tests, a package ``__init__`` re-export and
+    itself, a module is RL701: imports, ``__all__`` strings and
+    self-loads do not count."""
+    findings = _dead_module_tree(tmp_path, {
+        "src/repro/mem/__init__.py": """\
+            from .l2 import Banks
+            __all__ = ["Banks"]
+            """,
+        "src/repro/mem/l2.py": """\
+            LINE = 64
+            class Banks:
+                def bank_of(self, addr):
+                    return addr // LINE
+            """,
+        "tests/test_l2.py": """\
+            from repro.mem import Banks
+            assert Banks().bank_of(64) == 1
+            """,
+    })
+    assert codes_of(findings) == ["RL701"]
+    assert [f.file for f in findings] == ["src/repro/mem/l2.py"]
+    assert "repro.mem.l2" in findings[0].message
+
+
+def test_loaded_modules_allowed(tmp_path):
+    """A def read from another module, an annotated table read through
+    an attribute from ``examples/``, and ``__init__``/``__main__`` files
+    are all fine."""
+    assert _dead_module_tree(tmp_path, {
+        "src/repro/__init__.py": "",
+        "src/repro/__main__.py": "import sys\n",
+        "src/repro/ops.py": """\
+            OPS: dict = {"add": 1}
+            """,
+        "src/repro/law.py": """\
+            def hop(n):
+                return n + 1
+            """,
+        "src/repro/run.py": """\
+            from .law import hop
+            def main():
+                return hop(1)
+            """,
+        "examples/demo.py": """\
+            import repro.ops
+            from repro.run import main
+            print(repro.ops.OPS, main())
+            """,
+    }) == []
 
 
 # ----------------------------------------------------------------------

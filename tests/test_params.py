@@ -6,6 +6,7 @@ from repro.errors import ConfigError
 from repro.params import (Ara2Config, AraXLConfig, MemoryConfig,
                           RVV_MAX_VLEN_BITS, ScalarCoreConfig,
                           paper_configurations)
+from repro.uarch import AraXLModel
 
 
 class TestVlenLaw:
@@ -81,22 +82,25 @@ class TestClusters:
 
 
 class TestLatencyKnobs:
+    """Interface register-cut laws, read off the model the renders use."""
+
     def test_glsu_extra_regs_deepen_pipeline(self):
-        base = AraXLConfig(lanes=16)
-        cut = AraXLConfig(lanes=16, glsu_extra_regs=4)
-        assert cut.glsu_pipeline_stages == base.glsu_pipeline_stages + 4
+        # Section III: "+4 registers -> +8 cycles" request to response.
+        base = AraXLModel(AraXLConfig(lanes=16))
+        cut = AraXLModel(AraXLConfig(lanes=16, glsu_extra_regs=4))
+        assert cut.load_first_data_latency \
+            == base.load_first_data_latency + 8
 
     def test_reqi_extra_reg_delays_ack_by_two(self):
-        base = AraXLConfig(lanes=16)
-        cut = AraXLConfig(lanes=16, reqi_extra_regs=1)
-        delta = (cut.reqi_issue_latency + cut.reqi_ack_latency) \
-            - (base.reqi_issue_latency + base.reqi_ack_latency)
-        assert delta == 2
+        # CVA6 waits for the ack: one extra cycle out, one back.
+        base = AraXLModel(AraXLConfig(lanes=16))
+        cut = AraXLModel(AraXLConfig(lanes=16, reqi_extra_regs=1))
+        assert cut.issue_gap == base.issue_gap + 2
 
     def test_ringi_extra_reg_adds_hop_cycle(self):
-        base = AraXLConfig(lanes=16)
-        cut = AraXLConfig(lanes=16, ringi_extra_regs=1)
-        assert cut.ring_hop_cycles == base.ring_hop_cycles + 1
+        base = AraXLModel(AraXLConfig(lanes=16))
+        cut = AraXLModel(AraXLConfig(lanes=16, ringi_extra_regs=1))
+        assert cut.ringi.hop_cycles == base.ringi.hop_cycles + 1
 
     def test_negative_regs_rejected(self):
         with pytest.raises(ConfigError):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import TimingError
 from repro.params import Ara2Config, AraXLConfig
+from repro.timing.frontend import DirectMappedCache
 from repro.timing.resources import Resource
 from repro.timing.scoreboard import Scoreboard
 from repro.timing.stream import Stream, consume
@@ -129,6 +130,20 @@ class TestScoreboard:
         src = sb.source_stream(20, 1, 16)
         assert src.t_first == 0.0
         assert math.isinf(src.rate)
+
+
+class TestDirectMappedCache:
+    def test_hit_after_fill(self):
+        c = DirectMappedCache(1024, 64)
+        assert not c.access(0)
+        assert c.access(0)
+        assert c.hits == 1 and c.misses == 1
+
+    def test_conflict_eviction(self):
+        c = DirectMappedCache(128, 64)  # 2 lines
+        c.access(0)
+        c.access(128)  # same index as 0
+        assert not c.access(0)
 
 
 def _trace(build):

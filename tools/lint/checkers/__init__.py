@@ -9,6 +9,7 @@ module here, give it a stable unused ``RL`` code, append an instance to
 """
 
 from .boundary import SubmitPicklableChecker, TaskFieldChecker
+from .deadcode import DeadModuleChecker
 from .determinism import DeterminismChecker
 from .docs import (CliExampleChecker, CrossRefChecker, DocLinkChecker,
                    DocNameChecker, DocstringChecker)
@@ -29,6 +30,7 @@ ALL_CHECKERS = (
     DocstringChecker(),
     CrossRefChecker(),
     DocNameChecker(),
+    DeadModuleChecker(),
 )
 
 __all__ = ["ALL_CHECKERS"]
