@@ -6,21 +6,21 @@ read ``benchmarks/out/*.txt`` afterwards).  Simulation experiments are
 executed with ``benchmark.pedantic(rounds=1)`` — the quantity of interest
 is the experiment's *output*, not the host's wall-clock jitter.
 
-All simulation benchmarks attach to **one shared disk trace store** (the
-session-scoped :func:`trace_store` fixture): identical ``(program, VLEN,
-setup)`` operating points revisited across ``bench_fig6/7``,
-``bench_table1/3``, the ablations and ``bench_trace_reuse`` are captured
-once and served from disk ever after — including across suite runs and
-concurrent (``pytest-xdist``-style) workers, since the store's writes
-are atomic.  The store directory resolves from ``--trace-store``, then
-``$REPRO_TRACE_STORE``, then ``benchmarks/out/trace_cache``; its GC
-(size cap, stale purge, orphan reaping) runs once at session start.
-
-The sweeps run on a shared :class:`~repro.sim.parallel.SimPool` whose
-total process budget comes from ``--workers`` (default: autodetect) and
-whose capture phase holds at most ``--capture-workers`` of that budget
-while replays are pending.  Rendered outputs are byte-identical
-whatever the store's state or the pool sizing.
+All simulation benchmarks run on **one session-scoped**
+:class:`~repro.sim.parallel.SimPool` (the :func:`sim_pool` fixture),
+passed to every sweep as ``sim_pool=``.  Its process budget comes from
+``--workers`` (default: autodetect), its capture phase holds at most
+``--capture-workers`` of that budget while replays are pending, and its
+cache is the suite's **shared disk trace store**: identical
+``(program, VLEN, setup)`` operating points revisited across
+``bench_fig6/7``, ``bench_table1/3``, the ablations and
+``bench_trace_reuse`` are captured once and served from disk ever after
+— including across suite runs and concurrent (``pytest-xdist``-style)
+workers, since the store's writes are atomic.  The store directory
+resolves from ``--trace-store``, then ``$REPRO_TRACE_STORE``, then
+``benchmarks/out/trace_cache``; its GC (size cap, stale purge, orphan
+reaping) runs once at session start.  Rendered outputs are
+byte-identical whatever the store's state or the pool sizing.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import pathlib
 
 import pytest
 
+from repro.sim import SimPool
 from repro.sim.trace_cache import TraceCache, resolve_store_dir
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"
@@ -54,27 +55,25 @@ def pytest_addoption(parser):
 
 
 @pytest.fixture(scope="session")
-def workers(request) -> int | None:
-    """The shared pool's process budget ('auto' -> None = autodetect)."""
+def sim_pool(request):
+    """The suite-wide pool every simulation benchmark runs on.
+
+    Sized by ``--workers`` ('auto' -> None = autodetect) and
+    ``--capture-workers``; its cache is the shared disk trace store,
+    GC'd once per session.
+    """
     raw = request.config.getoption("--workers")
-    return None if raw == "auto" else max(1, int(raw))
-
-
-@pytest.fixture(scope="session")
-def capture_workers(request) -> int:
-    """Capture-phase soft split every simulation benchmark threads through."""
-    return max(1, int(request.config.getoption("--capture-workers")))
-
-
-@pytest.fixture(scope="session")
-def trace_store(request) -> TraceCache:
-    """The suite-wide shared disk trace store, GC'd once per session."""
-    explicit = request.config.getoption("--trace-store")
+    workers = None if raw == "auto" else max(1, int(raw))
+    capture_workers = max(
+        1, int(request.config.getoption("--capture-workers")))
     # resolve_store_dir's default is the checkout-anchored
     # benchmarks/out/trace_cache — exactly this suite's out/ dir.
-    store = TraceCache(disk_dir=resolve_store_dir(explicit))
+    store = TraceCache(disk_dir=resolve_store_dir(
+        request.config.getoption("--trace-store")))
     store.gc()  # reap crashed-writer orphans, purge stale, enforce budget
-    return store
+    with SimPool(workers=workers, capture_workers=capture_workers,
+                 cache=store) as pool:
+        yield pool
 
 
 def save_output(name: str, text: str) -> None:

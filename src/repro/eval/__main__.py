@@ -19,7 +19,7 @@ from ..env import ENV_FUZZ_SEEDS, ENV_STORE_DIR, read_env
 from ..errors import ConfigError
 from ..machine import get_machine, list_machines
 from ..sim.parallel import SimPool
-from ..sim.trace_cache import TraceCache, resolve_store_dir
+from ..sim.trace_cache import attach_store
 from .runner import EXPERIMENTS, SIMULATION_EXPERIMENTS, run_experiment
 
 
@@ -145,11 +145,9 @@ def main(argv: list[str] | None = None) -> int:
         except ConfigError as exc:
             parser.error(str(exc))
 
-    store = None
-    if args.trace_store is not None or read_env(ENV_STORE_DIR):
-        store = TraceCache(disk_dir=resolve_store_dir(args.trace_store),
-                           max_bytes=args.store_bytes)
-    elif args.gc or args.store_stats or args.store_bytes is not None:
+    store = attach_store(args.trace_store, args.store_bytes)
+    if store is None and (args.gc or args.store_stats
+                          or args.store_bytes is not None):
         # No store is configured and the documented default is "no disk
         # store" — don't invent one just to report on it, and say so
         # rather than silently dropping the store-related flags.
@@ -168,18 +166,12 @@ def main(argv: list[str] | None = None) -> int:
                              for name in names):
         pool = SimPool(workers=args.workers,
                        capture_workers=args.capture_workers,
-                       cache=store if store is not None else TraceCache(),
-                       job_timeout=args.job_timeout)
+                       cache=store, job_timeout=args.job_timeout)
 
     fuzz_failures = 0
     try:
         for name in names:
-            text = run_experiment(name, scale=args.scale,
-                                  workers=args.workers,
-                                  trace_store=store,
-                                  capture_workers=args.capture_workers,
-                                  job_timeout=args.job_timeout,
-                                  sim_pool=pool,
+            text = run_experiment(name, scale=args.scale, sim_pool=pool,
                                   machines=machines)
             print(text)
             print()

@@ -13,6 +13,7 @@ from ..params import Ara2Config, AraXLConfig, SystemConfig
 from ..ppa import PpaPoint, ppa_point
 from ..ppa.efficiency import VITRUVIUS_ROW
 from ..report.tables import render_table
+from ..sim import CaptureTask, SimPool, run_pipeline
 
 #: Published Table III rows.
 PAPER_TABLE3 = {
@@ -38,30 +39,19 @@ def default_configs() -> list[SystemConfig]:
 def run_table3(configs: list[SystemConfig] | None = None,
                bytes_per_lane: int = 512,
                scale: str = "paper",
-               trace_cache=None,
-               workers: int | None = 1,
-               capture_workers: int | None = 1,
-               job_timeout: float | None = None,
-               sim_pool=None) -> list[PpaPoint]:
+               sim_pool: SimPool | None = None) -> list[PpaPoint]:
     """Run the Table III PPA sweep as a capture/replay pipeline.
 
-    ``workers`` is the shared pool's total process budget and
-    ``capture_workers`` the soft share its capture phase may hold; pass
-    ``sim_pool`` to supply (and afterwards inspect) the pool yourself.
+    ``sim_pool`` says how the sweep runs (``None``: in-process, private
+    cache); rows are byte-identical for any pool.
     """
-    from ..sim import CaptureTask, SimPool, TraceCache, run_pipeline
     from .fig6_scaling import _SCALE_KWARGS
 
     configs = configs if configs is not None else default_configs()
     kw = _SCALE_KWARGS[scale].get("fmatmul", {})
     # 16L-Ara2 and 16L-AraXL share a VLEN: fmatmul runs functionally
     # once per VLEN group, and every machine's timing replay enters the
-    # shared SimPool as its group's trace lands (workers=1 stays
-    # in-process for both phases).
-    if sim_pool is None:
-        cache = trace_cache if trace_cache is not None else TraceCache()
-        sim_pool = SimPool(workers=workers, capture_workers=capture_workers,
-                           cache=cache, job_timeout=job_timeout)
+    # shared SimPool as its group's trace lands.
     cidx_by_key: dict = {}
     captures: list[CaptureTask] = []
     replays = []

@@ -175,14 +175,6 @@ class PipelineStats:
         slot[f"{tag}_points"] += points
         slot[f"{tag}_seconds"] += seconds
 
-    def seconds_per_point(self, tag: str) -> float:
-        """Mean per-point wall-clock for one phase (0.0 when unused)."""
-        points = self.capture_points if tag == "capture" \
-            else self.replay_points
-        seconds = self.capture_seconds if tag == "capture" \
-            else self.replay_seconds
-        return seconds / points if points else 0.0
-
 
 @dataclass
 class _Job:
@@ -392,7 +384,7 @@ class SimPool:
     """
 
     def __init__(self, workers: int | None = 1,
-                 capture_workers: int | None = None,
+                 capture_workers: int | None = 1,
                  cache: TraceCache | None = None,
                  fault_plan: Optional[FaultPlan] = None,
                  job_timeout: Optional[float] = None,
@@ -940,7 +932,7 @@ class SimPool:
 
 def run_pipeline(captures: Sequence[CaptureTask],
                  replays: Sequence[PipelineReplay],
-                 pool: SimPool) -> list[TimingReport]:
+                 pool: SimPool | None = None) -> list[TimingReport]:
     """Cold-sweep pipeline over one shared :class:`SimPool`.
 
     ``captures[i]`` names one distinct operating point;
@@ -950,7 +942,8 @@ def run_pipeline(captures: Sequence[CaptureTask],
     phase overlaps the remainder of its capture phase — all inside the
     single ``workers=`` process budget.  Returns one report per replay
     entry **in replay order**, byte-identical for any pool sizing.
-    Per-phase wall-clock lands in ``pool.pipeline_stats``.
+    Per-phase wall-clock lands in ``pool.pipeline_stats``.  ``None``
+    runs on ``SimPool()``: in-process, with a private trace cache.
 
     Replays are deduplicated by **machine-spec identity**: two entries
     naming the same capture and configs with equal
@@ -971,5 +964,7 @@ def run_pipeline(captures: Sequence[CaptureTask],
             slot = unique[key] = len(order)
             order.append((config, cidx))
         expand.append(slot)
+    if pool is None:
+        pool = SimPool()
     reports = pool.run(captures, order)
     return [reports[i] for i in expand]

@@ -893,20 +893,16 @@ class TraceCache:
         return stats
 
 
-def attach_store(store: Union[TraceCache, str, Path, None] = None
-                 ) -> Optional[TraceCache]:
-    """Resolve a caller-supplied store argument to a usable cache.
+def attach_store(disk_dir: Union[str, Path, None] = None,
+                 max_bytes: Optional[int] = None) -> Optional[TraceCache]:
+    """The shared store a run attaches to, or ``None`` for none.
 
-    * a :class:`TraceCache` instance — used as-is;
-    * a path — a :class:`TraceCache` attached to that directory;
-    * ``None`` — a :class:`TraceCache` at ``$REPRO_TRACE_STORE`` when
-      the environment names one, else ``None`` (caller keeps its
-      private-cache behaviour).
+    An explicit ``disk_dir`` wins; else ``$REPRO_TRACE_STORE`` names the
+    store; with neither there is no shared store and the caller keeps a
+    private cache.  ``max_bytes`` is the GC budget
+    (:func:`resolve_store_bytes` resolves ``None``).
     """
-    if isinstance(store, TraceCache):
-        return store
-    if store is not None:
-        return TraceCache(disk_dir=store)
-    if read_env(ENV_STORE_DIR):
-        return TraceCache(disk_dir=resolve_store_dir())
-    return None
+    if disk_dir is None and not read_env(ENV_STORE_DIR):
+        return None
+    return TraceCache(disk_dir=resolve_store_dir(disk_dir),
+                      max_bytes=max_bytes)

@@ -5,7 +5,7 @@ import pytest
 from repro.eval import (PAPER_FIG7_CLAIMS, run_experiment, run_fig6, run_fig7,
                         run_fig8, run_fig9, run_table1, run_table2,
                         run_table3)
-from repro.eval.fig6_scaling import render_fig6
+from repro.eval.fig6_scaling import PAPER_FIG6_CLAIMS, render_fig6
 from repro.eval.fig7_latency import max_drop, render_fig7
 from repro.eval.fig8_floorplan import render_fig8
 from repro.eval.fig9_area import render_fig9
@@ -56,6 +56,46 @@ class TestFig6Reduced:
     def test_render(self, points):
         text = render_fig6(points)
         assert "fmatmul" in text and "B/lane" in text
+
+
+class TestFig6PaperClaims:
+    """The model's distance from each Section IV-B headline number.
+
+    ``_REL_ERROR`` is the relative error (model - paper) / paper of
+    every ``PAPER_FIG6_CLAIMS`` entry as the model stands today, at the
+    paper's problem sizes.  A timing-model change that moves any of them
+    by more than one percentage point fails here.  The band is a drift
+    alarm, not a tolerance to tune: it is never widened to let a change
+    pass; a deliberate model change re-measures and re-pins the values.
+    """
+
+    _REL_ERROR = {
+        ("fmatmul", "util_64L_512"): 0.0100,       # 0.9999 vs 0.99
+        ("fconv2d", "util_64L_512"): 0.0194,       # 0.9888 vs 0.97
+        ("fdotproduct", "scaling_64L_512"): 0.0544,  # 6.432 vs 6.1
+        ("softmax", "scaling_64L_512"): 0.0401,    # 7.593 vs 7.3
+    }
+    _BAND = 0.01
+
+    @pytest.fixture(scope="class")
+    def points(self):
+        kernels = tuple(dict.fromkeys(k for k, _ in PAPER_FIG6_CLAIMS))
+        return run_fig6(kernels=kernels, bytes_per_lane=(512,),
+                        machines=[Ara2Config(lanes=8), AraXLConfig(lanes=64)],
+                        scale="paper")
+
+    @pytest.mark.parametrize("claim", sorted(PAPER_FIG6_CLAIMS),
+                             ids="-".join)
+    def test_claim_error_is_pinned(self, points, claim):
+        kernel, metric = claim
+        pt = next(p for p in points if p.kernel == kernel
+                  and p.machine == "64L-AraXL" and p.bytes_per_lane == 512)
+        model = pt.utilization if metric.startswith("util_") \
+            else pt.scaling_vs_8l_ara2
+        paper = PAPER_FIG6_CLAIMS[claim]
+        error = (model - paper) / paper
+        assert abs(error - self._REL_ERROR[claim]) <= self._BAND, \
+            (claim, model, paper, error)
 
 
 class TestFig7Reduced:

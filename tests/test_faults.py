@@ -25,7 +25,7 @@ from repro.sim.faults import (ENV_FAULT_PLAN, FaultLog, FaultPlan,
                               JobTimeout)
 from repro.sim.trace_cache import disk_path
 
-from test_capture_parallel import SWEEPS
+from test_capture_parallel import SWEEPS, _pool
 
 # One plan stresses every injector at once: ≥10% of job attempts crash
 # or hang, ≥10% of disk writes are corrupted or refused.  ``hang_s``
@@ -47,13 +47,13 @@ class TestChaosSweeps:
     def test_sweep_byte_identical_under_chaos(self, name, tmp_path,
                                               monkeypatch):
         sweep = SWEEPS[name]
-        clean = sweep(TraceCache(disk_dir=tmp_path / "clean"), 1, 1)
+        clean = sweep(_pool(TraceCache(disk_dir=tmp_path / "clean"), 1, 1))
 
         monkeypatch.setenv(ENV_FAULT_PLAN, CHAOS_SPEC)
         store = TraceCache(disk_dir=tmp_path / "chaos")
         pool = SimPool(workers=2, capture_workers=2, cache=store,
                        job_timeout=CHAOS_JOB_TIMEOUT)
-        chaotic = sweep(store, 2, 2, sim_pool=pool)
+        chaotic = sweep(pool)
 
         assert chaotic == clean
         log = pool.fault_log.as_dict()

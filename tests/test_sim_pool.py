@@ -28,7 +28,7 @@ from repro.sim import SimPool, TraceCache
 from repro.sim.parallel import PARENT_WORKER, PipelineStats
 import repro.sim.parallel as parallel_mod
 
-from test_capture_parallel import SWEEPS
+from test_capture_parallel import SWEEPS, _pool
 
 
 def _small_fig6(pool):
@@ -46,6 +46,8 @@ class TestSimPoolKnobs:
     def test_defaults_and_validation(self):
         assert SimPool().workers == 1
         assert SimPool(workers=None).workers >= 1
+        # The default split captures in the parent, whatever the budget.
+        assert SimPool(workers=2).capture_workers == 1
         with pytest.raises(ValueError):
             SimPool(workers=0)
         with pytest.raises(ValueError):
@@ -55,7 +57,8 @@ class TestSimPoolKnobs:
         """The soft split can never promise more slots than exist."""
         assert SimPool(workers=2, capture_workers=5).capture_workers == 2
         assert SimPool(workers=4, capture_workers=2).capture_workers == 2
-        assert SimPool(workers=3).capture_workers <= 3  # autodetect clamp
+        assert SimPool(workers=3, capture_workers=None).capture_workers \
+            <= 3  # autodetect clamp
         assert SimPool(workers=1, capture_workers=8).capture_workers == 1
 
 
@@ -154,10 +157,10 @@ class TestSweepIdentityAcrossPoolSizings:
         render the same bytes (results order is replay order, not
         completion order)."""
         sweep = SWEEPS[name]
-        serial = sweep(TraceCache(disk_dir=tmp_path / "serial"), 1, 1)
-        replay_only = sweep(TraceCache(disk_dir=tmp_path / "r"), 3, 1)
+        serial = sweep(_pool(TraceCache(disk_dir=tmp_path / "serial"), 1, 1))
+        replay_only = sweep(_pool(TraceCache(disk_dir=tmp_path / "r"), 3, 1))
         assert replay_only == serial
-        shared = sweep(TraceCache(disk_dir=tmp_path / "s"), 2, 2)
+        shared = sweep(_pool(TraceCache(disk_dir=tmp_path / "s"), 2, 2))
         assert shared == serial
 
 
@@ -209,13 +212,12 @@ class TestPipelineStats:
         parent = ps.per_worker[PARENT_WORKER]
         assert parent["capture_points"] == ps.capture_points == 4
 
-    def test_seconds_per_point(self):
+    def test_note_accumulates_phase_and_worker_totals(self):
         stats = PipelineStats()
-        assert stats.seconds_per_point("capture") == 0.0
         stats.note("capture", 0, 2, 1.0)
         stats.note("replay", 7, 4, 2.0)
-        assert stats.seconds_per_point("capture") == pytest.approx(0.5)
-        assert stats.seconds_per_point("replay") == pytest.approx(0.5)
+        assert (stats.capture_points, stats.capture_seconds) == (2, 1.0)
+        assert (stats.replay_points, stats.replay_seconds) == (4, 2.0)
         assert stats.per_worker[7]["replay_points"] == 4
 
 

@@ -21,7 +21,7 @@ from repro.eval.runner import (EXPERIMENTS, SIMULATION_EXPERIMENTS,
 from repro.eval.table1_kernels import render_table1, run_table1
 from repro.kernels import build_fmatmul
 from repro.params import Ara2Config, AraXLConfig
-from repro.sim import TraceCache, attach_store
+from repro.sim import SimPool, TraceCache, attach_store
 from repro.sim.trace_cache import (TMP_MAX_AGE_S, _read_hits, disk_path,
                                    resolve_store_bytes, resolve_store_dir,
                                    sidecar_path)
@@ -214,11 +214,10 @@ class TestStoreResolution:
 
     def test_attach_store(self, tmp_path, monkeypatch):
         monkeypatch.delenv(ENV_STORE_DIR, raising=False)
-        cache = TraceCache()
-        assert attach_store(cache) is cache
         store = attach_store(tmp_path / "s")
         assert isinstance(store, TraceCache)
         assert store.disk_dir == tmp_path / "s"
+        assert attach_store(tmp_path / "s", 1024).max_bytes == 1024
         assert attach_store(None) is None
         monkeypatch.setenv(ENV_STORE_DIR, str(tmp_path / "envstore"))
         via_env = attach_store(None)
@@ -295,11 +294,11 @@ class TestSharedStoreAcrossSweeps:
         store1 = TraceCache(disk_dir=tmp_path)
         run_fig6(kernels=("fmatmul",), bytes_per_lane=(64,),
                  machines=[Ara2Config(lanes=8)], scale="reduced",
-                 trace_cache=store1)
+                 sim_pool=SimPool(cache=store1))
         assert store1.stats["misses"] == 1  # fig6 paid the capture
 
         store2 = TraceCache(disk_dir=tmp_path)  # fresh attach, same disk
-        points = run_fig7(**self._FIG7_KW, trace_cache=store2)
+        points = run_fig7(**self._FIG7_KW, sim_pool=SimPool(cache=store2))
         assert store2.stats["misses"] == 0
         assert store2.stats["disk_hits"] >= 1  # served from fig6's capture
         private = run_fig7(**self._FIG7_KW)
@@ -307,25 +306,25 @@ class TestSharedStoreAcrossSweeps:
 
     def test_output_identical_cold_warm_and_gcd(self, tmp_path):
         store = TraceCache(disk_dir=tmp_path)
-        cold = run_fig7(**self._FIG7_KW, trace_cache=store)
-        warm = run_fig7(**self._FIG7_KW,
-                        trace_cache=TraceCache(disk_dir=tmp_path))
+        cold = run_fig7(**self._FIG7_KW, sim_pool=SimPool(cache=store))
+        warm = run_fig7(**self._FIG7_KW, sim_pool=SimPool(
+            cache=TraceCache(disk_dir=tmp_path)))
         store.gc(max_bytes=0)  # evict everything mid-run
         assert store.manifest() == []
-        gcd = run_fig7(**self._FIG7_KW,
-                       trace_cache=TraceCache(disk_dir=tmp_path))
+        gcd = run_fig7(**self._FIG7_KW, sim_pool=SimPool(
+            cache=TraceCache(disk_dir=tmp_path)))
         assert render_fig7(cold) == render_fig7(warm) == render_fig7(gcd)
 
     def test_table1_reads_and_warms_the_store(self, tmp_path):
         cfg = AraXLConfig(lanes=8)
         kw = dict(config=cfg, bytes_per_lane=64, scale="reduced")
         store = TraceCache(disk_dir=tmp_path)
-        first = run_table1(**kw, trace_cache=store)
+        first = run_table1(**kw, sim_pool=SimPool(cache=store))
         assert store.stats["misses"] > 0  # cold: capture phase ran
         assert len(store.manifest()) == store.stats["misses"]  # warmed disk
 
         again = TraceCache(disk_dir=tmp_path)
-        second = run_table1(**kw, trace_cache=again)
+        second = run_table1(**kw, sim_pool=SimPool(cache=again))
         assert again.stats["misses"] == 0
         assert again.stats["disk_hits"] == store.stats["misses"]
         assert second == first
@@ -335,8 +334,8 @@ class TestTable1Workers:
     def test_parallel_matches_serial(self):
         kw = dict(config=AraXLConfig(lanes=8), bytes_per_lane=64,
                   scale="reduced")
-        serial = run_table1(**kw, workers=1)
-        parallel = run_table1(**kw, workers=2)
+        serial = run_table1(**kw, sim_pool=SimPool(workers=1))
+        parallel = run_table1(**kw, sim_pool=SimPool(workers=2))
         assert parallel == serial
         assert render_table1(parallel) == render_table1(serial)
 
@@ -352,17 +351,21 @@ class TestRegistry:
     @pytest.mark.parametrize("name", sorted(STATIC_EXPERIMENTS))
     def test_static_experiments_ignore_all_args(self, name, tmp_path):
         plain = run_experiment(name)
-        decorated = run_experiment(name, scale="reduced", workers=3,
-                                   trace_store=tmp_path / "ignored")
+        pool = SimPool(workers=3,
+                       cache=TraceCache(disk_dir=tmp_path / "ignored"))
+        decorated = run_experiment(name, scale="reduced", sim_pool=pool)
         assert decorated == plain
         assert not (tmp_path / "ignored").exists()  # store never touched
 
     def test_run_experiment_threads_workers_and_store(self, tmp_path):
         store_dir = tmp_path / "store"
-        kw = dict(scale="reduced", trace_store=store_dir)
-        cold = run_experiment("table1", workers=2, **kw)
+
+        def pool(workers):
+            return SimPool(workers=workers,
+                           cache=TraceCache(disk_dir=store_dir))
+        cold = run_experiment("table1", scale="reduced", sim_pool=pool(2))
         assert any(store_dir.glob("trace_*.pkl"))  # experiment warmed it
-        warm = run_experiment("table1", workers=1, **kw)
+        warm = run_experiment("table1", scale="reduced", sim_pool=pool(1))
         assert warm == cold
 
     def test_run_experiment_attaches_via_env(self, tmp_path, monkeypatch):
